@@ -47,10 +47,12 @@ bench:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 3 .
 	go run ./cmd/instrep run -bench all -waves $(WAVES) -metrics json > BENCH_run.json
 
-# Interpreter-vs-translator equivalence: the machine-level event-
-# stream/state differential (random programs + workload prefixes, all
-# three dispatch paths) and the pipeline-level canonical-report
-# differential, under the race detector.
+# Execution-path equivalence: the machine-level event-stream/state
+# differential (random programs + workload prefixes, all three
+# dispatch paths) and the pipeline-level canonical-report
+# differentials, translated vs interpreted and watchdog armed vs
+# unarmed (armed runs must match the golden corpus and stay
+# translated), under the race detector.
 differential:
 	go test -race -count=1 -run Differential ./internal/cpu .
 

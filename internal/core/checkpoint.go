@@ -28,7 +28,10 @@ import (
 const DefaultCheckpointInterval = 15 * time.Second
 
 // CheckpointPolicy tells Run when and where to snapshot. The zero
-// value (and a nil pointer) disables checkpointing entirely.
+// value (and a nil pointer) disables checkpointing entirely. Snapshots
+// land only on chunk boundaries, and never on the boundary that
+// completes the measure window: a finished run removes its snapshot, so
+// one written there could never be resumed.
 type CheckpointPolicy struct {
 	// Store receives the snapshots (required to enable the policy).
 	Store *checkpoint.Store
@@ -253,7 +256,8 @@ type ckState struct {
 	wrote       bool      // at least one snapshot written this run
 }
 
-// atBoundary is runPhase's chunk-boundary hook: done is this phase's
+// atBoundary is runPhase's chunk-boundary hook (every boundary but the
+// one that completes the measure window): done is this phase's
 // progress, folded into the cumulative bases a resumed snapshot
 // carried in.
 func (ck *ckState) atBoundary(phase string, retired, done uint64) {

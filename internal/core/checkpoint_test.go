@@ -11,6 +11,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/checkpoint"
@@ -146,6 +147,48 @@ func TestResumeMatchesUninterruptedRun(t *testing.T) {
 				t.Errorf("snapshot survived a clean finish: %v", keys)
 			}
 		})
+	}
+}
+
+// TestWindowEndWritesNoSnapshot pins the snapshot points under the
+// densest pacing: every chunk boundary writes except the one that
+// completes the measure window, which the run removes right after
+// collecting. The skip phase (300k) crosses boundaries at 262,144 and
+// 300,000 retired; the measure phase (800k) at 262,144, 524,288 and
+// 786,432 more, then ends the window at 1,100,000 — five writes.
+func TestWindowEndWritesNoSnapshot(t *testing.T) {
+	im := checkpointTestImage(t)
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := checkpointTestConfig()
+	final := cfg.SkipInstructions + cfg.MeasureInstructions
+	var written []uint64
+	cfg.Checkpoint = &core.CheckpointPolicy{
+		Store: store, Key: "abc123", Every: 1,
+		Notify: func(ev core.CheckpointEvent) {
+			if !ev.Resumed {
+				written = append(written, ev.Retired)
+			}
+		},
+	}
+	rep, err := core.Run(context.Background(), im, nil, "ckpt", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ProgramExited {
+		t.Fatal("test program exited inside the window; the window end must be a budget boundary")
+	}
+	want := []uint64{262_144, 300_000, 562_144, 824_288, 1_086_432}
+	if !slices.Equal(written, want) {
+		t.Errorf("snapshots written at %v, want %v (never at the window end %d)", written, want, final)
+	}
+	if got := store.Stats.Writes.Value(); got != uint64(len(want)) {
+		t.Errorf("Stats.Writes = %d, want %d interior boundaries", got, len(want))
+	}
+	if keys := store.Keys(); len(keys) != 0 {
+		t.Errorf("snapshot survived a clean finish: %v", keys)
 	}
 }
 

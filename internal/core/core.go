@@ -87,8 +87,9 @@ type Config struct {
 	// run loop makes no retire progress for this long — a wedged step,
 	// a runaway observer — the run aborts with a *WatchdogError
 	// carrying a PC/phase diagnostic and a truncated partial Report.
-	// While armed, the simulator runs through a per-step checkpoint
-	// hook (a few percent slower), so leave it off for benchmarking.
+	// The run loop publishes progress after every sub-chunk whether or
+	// not the watchdog is armed, so arming it costs one goroutine and
+	// leaves the run on the translated path.
 	WatchdogInterval time.Duration
 
 	// Faults is the deterministic fault-injection plan consulted at
@@ -629,18 +630,37 @@ func (p *Pipeline) Collect(im *program.Image, name string) *Report {
 }
 
 // progressChunk is how many instructions run between run-loop
-// checkpoints: cancellation checks, watchdog progress publication,
-// and progress callbacks.
+// checkpoints: cancellation checks, snapshot opportunities, and
+// progress callbacks.
 const progressChunk = 1 << 18
 
+// subChunk is how many instructions run between progress publications
+// inside a chunk: fine enough that the watchdog and /debug/runs see a
+// slow chunk advancing, coarse enough that publishing costs nothing
+// measurable. Fault stop points split sub-chunks further.
+const subChunk = 1 << 14
+
+// runLoop is what the run loop carries across phases: the machine, the
+// progress it publishes, the checkpoint state, the fault stop points,
+// and the progress callback.
+type runLoop struct {
+	name  string
+	m     *cpu.Machine
+	st    *runState
+	ck    *ckState
+	stops faultinject.Stops
+	cb    func(Progress)
+}
+
 // runPhase executes up to max instructions (0 = to completion) in
-// chunks, checking cancellation, publishing watchdog progress, and
-// offering ck a snapshot opportunity at every chunk boundary,
-// reporting through cb when non-nil. On cancellation it returns the
+// chunks, checking cancellation, offering ck a snapshot opportunity at
+// every chunk boundary but the one that completes the measure window,
+// and reporting through cb when non-nil. On cancellation it returns the
 // context's cause (the watchdog, timeout, or caller-supplied
 // cancellation error).
-func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, max uint64, name, phase string, cb func(Progress)) (uint64, error) {
-	st.setPhase(phase)
+func (l *runLoop) runPhase(ctx context.Context, max uint64, phase string) (uint64, error) {
+	m := l.m
+	l.st.setPhase(phase)
 	var done uint64
 	var err error
 	for !m.Halted && err == nil && (max == 0 || done < max) {
@@ -653,24 +673,57 @@ func runPhase(ctx context.Context, st *runState, ck *ckState, m *cpu.Machine, ma
 			chunk = max - done
 		}
 		var n uint64
-		n, err = m.Run(chunk)
+		n, err = l.runChunk(ctx, chunk)
 		done += n
-		st.publish(m.Count, m.PC)
-		if err == nil && !m.Halted {
-			// Snapshot only consistent state: never after a fault
-			// (which may have cut an instruction short) and never once
-			// the program completed (the snapshot is removed on a
-			// clean finish anyway).
-			ck.atBoundary(phase, m.Count, done)
+		// Snapshot only consistent, continuable state: never after a
+		// fault (which may have cut an instruction short), never once
+		// the program completed, and never at the end of the measure
+		// window — the run collects and removes its snapshot right
+		// after, so nothing could resume from it.
+		if err == nil && !m.Halted && !(phase == "measure" && done == max) {
+			l.ck.atBoundary(phase, m.Count, done)
 		}
-		if cb != nil {
-			cb(Progress{Benchmark: name, Phase: phase, Done: done, Total: max, Retired: m.Count})
+		if l.cb != nil {
+			l.cb(Progress{Benchmark: l.name, Phase: phase, Done: done, Total: max, Retired: m.Count})
 		}
 	}
-	if cb != nil {
-		cb(Progress{Benchmark: name, Phase: phase, Done: done, Total: max, Retired: m.Count, Final: true})
+	if l.cb != nil {
+		l.cb(Progress{Benchmark: l.name, Phase: phase, Done: done, Total: max, Retired: m.Count, Final: true})
 	}
 	return done, err
+}
+
+// runChunk executes up to n instructions in sub-chunks, publishing the
+// retire count and PC after each. A fault stop point ends a sub-chunk
+// exactly at its retire count, where the fault applies before the
+// machine moves on: a SimFault ends the chunk with its error, and a
+// SlowStep stalls before each single step from there on.
+func (l *runLoop) runChunk(ctx context.Context, n uint64) (uint64, error) {
+	m := l.m
+	var done uint64
+	for done < n && !m.Halted {
+		k := n - done
+		if k > subChunk {
+			k = subChunk
+		}
+		if at, ok := l.stops.Next(m.Count); ok {
+			if at == m.Count {
+				if err := l.stops.Apply(ctx, m.Count, m.PC); err != nil {
+					return done, err
+				}
+				k = 1
+			} else if at-m.Count < k {
+				k = at - m.Count
+			}
+		}
+		r, err := m.Run(k)
+		done += r
+		l.st.publish(m.Count, m.PC)
+		if err != nil {
+			return done, err
+		}
+	}
+	return done, nil
 }
 
 // Run executes a full experiment: fast-forward, attach the pipeline,
@@ -718,7 +771,6 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	build := func() (*cpu.Machine, *Pipeline) {
 		m := cpu.New(im, input)
 		m.NoTranslate = cfg.DisableTranslation
-		m.Hook = cfg.Faults.StepHook(ctx, name)
 		p := NewPipeline(im, cfg)
 		m.Attach(p)
 		if o := cfg.Faults.Observer(name); o != nil {
@@ -773,9 +825,6 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	}
 	st.traceID = obs.TraceIDFrom(ctx)
 	if cfg.WatchdogInterval > 0 {
-		// Fine-grained retire checkpoints so a slow chunk is not
-		// mistaken for a wedged run.
-		m.Hook = publishHook(st, m.Hook)
 		defer watch(ctx, cancel, st, cfg.WatchdogInterval)()
 	}
 	if cfg.Runs != nil {
@@ -784,6 +833,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	if ck != nil {
 		ck.st = st
 	}
+	loop := &runLoop{name: name, m: m, st: st, ck: ck, stops: cfg.Faults.Stops(name), cb: cfg.Progress}
 	load.End()
 
 	var skipped, measured uint64
@@ -824,51 +874,62 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 
 	// Panic isolation: a panic in the simulator, an observer, or
 	// collection becomes a *PanicError with the partial report still
-	// assembled when the pipeline state allows it.
-	defer func() {
-		if pv := recover(); pv != nil {
-			perr := NewPanicError(name, pv)
-			health.PanicsRecovered.Inc()
-			rep, err = safeFinish(finish, perr), perr
+	// assembled when the pipeline state allows it. The deferred recover
+	// only captures the panic (its stack must cover the panic site) and
+	// the report is assembled after the panic has unwound: collection
+	// allocates heavily, and running it inside the deferred call, with
+	// the panicking frames still on the stack, corrupts the heap under
+	// frequent GC (TestPanicRecoveryUnderGCPressure).
+	var perr *PanicError
+	rep, err = func() (*Report, error) {
+		defer func() {
+			if pv := recover(); pv != nil {
+				perr = NewPanicError(name, pv)
+			}
+		}()
+
+		if remaining := cfg.SkipInstructions - skipped; cfg.SkipInstructions > 0 &&
+			(resume == nil || resume.phase == "skip") && remaining > 0 {
+			// Warmup: the pipeline propagates dataflow state (so tags
+			// from initialization-time input reads survive) but counts
+			// nothing. A resumed run finishes the remaining budget only —
+			// max=0 would mean run-to-completion, hence the guard.
+			skip := root.StartChild("skip")
+			done, serr := loop.runPhase(ctx, remaining, "skip")
+			skipped += done
+			skip.End()
+			if serr != nil {
+				return finish(serr), fmt.Errorf("core: warmup: %w", serr)
+			}
 		}
+		if ck != nil {
+			ck.baseSkipped = skipped
+		}
+
+		p.SetCounting(true)
+		measure = root.StartChild("measure")
+		measureMax := cfg.MeasureInstructions
+		if cfg.MeasureInstructions > 0 {
+			measureMax = cfg.MeasureInstructions - measured
+		}
+		if measureMax > 0 || cfg.MeasureInstructions == 0 {
+			done, merr := loop.runPhase(ctx, measureMax, "measure")
+			measured += done
+			if merr != nil {
+				return finish(merr), fmt.Errorf("core: measure: %w", merr)
+			}
+		}
+		if ck != nil {
+			// A completed run can't be "resumed": drop its snapshot.
+			ck.policy.Store.Remove(ck.policy.Key)
+		}
+		return finish(nil), nil
 	}()
-
-	if remaining := cfg.SkipInstructions - skipped; cfg.SkipInstructions > 0 &&
-		(resume == nil || resume.phase == "skip") && remaining > 0 {
-		// Warmup: the pipeline propagates dataflow state (so tags
-		// from initialization-time input reads survive) but counts
-		// nothing. A resumed run finishes the remaining budget only —
-		// max=0 would mean run-to-completion, hence the guard.
-		skip := root.StartChild("skip")
-		done, serr := runPhase(ctx, st, ck, m, remaining, name, "skip", cfg.Progress)
-		skipped += done
-		skip.End()
-		if serr != nil {
-			return finish(serr), fmt.Errorf("core: warmup: %w", serr)
-		}
+	if perr != nil {
+		health.PanicsRecovered.Inc()
+		return safeFinish(finish, perr), perr
 	}
-	if ck != nil {
-		ck.baseSkipped = skipped
-	}
-
-	p.SetCounting(true)
-	measure = root.StartChild("measure")
-	measureMax := cfg.MeasureInstructions
-	if cfg.MeasureInstructions > 0 {
-		measureMax = cfg.MeasureInstructions - measured
-	}
-	if measureMax > 0 || cfg.MeasureInstructions == 0 {
-		done, merr := runPhase(ctx, st, ck, m, measureMax, name, "measure", cfg.Progress)
-		measured += done
-		if merr != nil {
-			return finish(merr), fmt.Errorf("core: measure: %w", merr)
-		}
-	}
-	if ck != nil {
-		// A completed run can't be "resumed": drop its snapshot.
-		ck.policy.Store.Remove(ck.policy.Key)
-	}
-	return finish(nil), nil
+	return rep, err
 }
 
 // resumableInto checks a restored snapshot's phase bookkeeping against
@@ -905,6 +966,9 @@ func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measur
 	rm := &obs.RunMetrics{
 		Benchmark:           name,
 		Phases:              root.Tree(),
+		ExecPath:            obs.ExecTranslated,
+		BlocksTranslated:    m.Trans.Blocks,
+		FallbackSteps:       m.Trans.FallbackSteps,
 		ObserverSampleEvery: p.sampleEvery,
 		Observers:           p.ObserverCosts(),
 		Sim: obs.SimCounters{
@@ -915,6 +979,9 @@ func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measur
 			BranchesTaken: m.Stats.BranchesTaken,
 			Syscalls:      m.Stats.Syscalls,
 		},
+	}
+	if m.NoTranslate {
+		rm.ExecPath = obs.ExecInterpreted
 	}
 	for k, n := range m.Stats.Kinds {
 		if n > 0 {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/workloads"
 )
 
@@ -272,6 +273,10 @@ func TestRunMetricsCollected(t *testing.T) {
 	if m.RetireRateMIPS <= 0 {
 		t.Error("retire rate not computed")
 	}
+	if m.ExecPath != obs.ExecTranslated || m.BlocksTranslated == 0 || m.FallbackSteps != 0 {
+		t.Errorf("exec path = %q (%d blocks, %d fallback steps), want translated with blocks",
+			m.ExecPath, m.BlocksTranslated, m.FallbackSteps)
+	}
 	// Observer attribution: repetition plus the six analyses.
 	if len(m.Observers) != 7 {
 		t.Errorf("got %d observer costs: %+v", len(m.Observers), m.Observers)
@@ -306,6 +311,23 @@ func TestRunMetricsCollected(t *testing.T) {
 	}
 	if got := byPhase["measure"][len(byPhase["measure"])-1].Done; got != r.MeasuredInstructions {
 		t.Errorf("final measure Done = %d, want %d", got, r.MeasuredInstructions)
+	}
+}
+
+func TestRunMetricsInterpretedPath(t *testing.T) {
+	w, _ := workloads.ByName("lzw")
+	im, err := w.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.Config{MeasureInstructions: 50_000, DisableTranslation: true}
+	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := r.Metrics; m.ExecPath != obs.ExecInterpreted || m.BlocksTranslated != 0 || m.FallbackSteps != 0 {
+		t.Errorf("exec path = %q (%d blocks, %d fallback steps), want interpreted with no translation",
+			m.ExecPath, m.BlocksTranslated, m.FallbackSteps)
 	}
 }
 

@@ -125,8 +125,7 @@ func recordTruncation(h *obs.HealthCounters, reason string) {
 // at the last checkpoint, plus the current phase and when it started —
 // read by the watchdog (stall detection) and by RunRegistry snapshots
 // (live introspection with a phase-relative retire rate). Checkpoints
-// come from chunk boundaries in runPhase and, when the watchdog is
-// armed, from the per-step publishing hook.
+// come from runChunk after every sub-chunk and fault stop point.
 type runState struct {
 	benchmark string
 	traceID   string
@@ -173,25 +172,6 @@ func (st *runState) phaseName() string {
 		return *p
 	}
 	return "?"
-}
-
-// publishEvery is the retire-count granularity of the per-step
-// watchdog checkpoint hook (a power of two; the hook masks the count).
-const publishEvery = 1024
-
-// publishHook chains a progress-publishing step hook in front of prev
-// so the watchdog sees retire progress at fine granularity even when
-// a single runPhase chunk is slow.
-func publishHook(st *runState, prev func(count uint64, pc uint32) error) func(count uint64, pc uint32) error {
-	return func(count uint64, pc uint32) error {
-		if count&(publishEvery-1) == 0 {
-			st.publish(count, pc)
-		}
-		if prev != nil {
-			return prev(count, pc)
-		}
-		return nil
-	}
 }
 
 // watch starts the deadman watchdog: when the run loop publishes no

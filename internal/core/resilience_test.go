@@ -9,6 +9,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -127,10 +128,14 @@ func TestRunWatchdog(t *testing.T) {
 	if we.Benchmark != "wedged" {
 		t.Errorf("WatchdogError.Benchmark = %q", we.Benchmark)
 	}
-	// The stall begins in the skip phase (default config has no skip,
-	// so At=5000 lands in measure).
+	// The default config has no skip, so At=5000 lands in measure.
 	if we.Phase != "measure" {
 		t.Errorf("WatchdogError.Phase = %q, want measure", we.Phase)
+	}
+	// The run loop stops exactly at the stall's stop point and
+	// publishes there, so the diagnostic names the exact retire count.
+	if we.Retired != 5000 {
+		t.Errorf("WatchdogError.Retired = %d, want exactly 5000", we.Retired)
 	}
 	if !strings.Contains(we.Error(), "pc=0x") {
 		t.Errorf("watchdog diagnostic lacks a PC: %v", we)
@@ -168,6 +173,29 @@ func TestRunRecoversObserverPanic(t *testing.T) {
 		t.Errorf("panic stack does not cover the panic site:\n%s", pe.Stack)
 	}
 	if r != nil {
+		checkPartial(t, r, core.ReasonPanic)
+	}
+}
+
+// TestPanicRecoveryUnderGCPressure repeats the observer-panic run with
+// the collector running almost continuously and a fresh fault plan per
+// run, so the previous run's plan is garbage. If the partial report is
+// assembled inside the deferred recover, with the panicking frames
+// still on the stack, the heap is corrupted within a few runs and the
+// runtime aborts with "found pointer to free object".
+func TestPanicRecoveryUnderGCPressure(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(1))
+	im := loopImage(t)
+	for i := 0; i < 50; i++ {
+		cfg := core.Config{
+			MeasureInstructions: 60_000,
+			Faults:              faultinject.NewPlan(faultinject.Fault{Kind: faultinject.ObserverPanic, At: 50_000}),
+		}
+		r, err := core.Run(context.Background(), im, nil, "panicky", cfg)
+		var pe *core.PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("run %d: err = %v, want *PanicError", i, err)
+		}
 		checkPartial(t, r, core.ReasonPanic)
 	}
 }

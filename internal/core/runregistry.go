@@ -71,8 +71,8 @@ func (r *RunRegistry) Len() int {
 
 // Snapshot lists the in-flight runs, oldest first (registration
 // order). The retire counts and MIPS are read from the runs' published
-// checkpoints, so they trail the simulator by at most one progress
-// chunk.
+// checkpoints, so they trail the simulator by at most one sub-chunk
+// (2^14 instructions).
 func (r *RunRegistry) Snapshot() []RunInfo {
 	if r == nil {
 		return nil

@@ -5,6 +5,11 @@
 // The simulator is purely functional (no pipeline, no delay slots),
 // mirroring the paper's use of a SimpleScalar-derived functional
 // simulator: the analyses are ISA-level dataflow properties.
+//
+// Step is the reference interpreter. Run executes through the block
+// translation cache (translate.go) and falls back to Step only where
+// no block exists, or for the whole run when NoTranslate is set; the
+// two paths retire identical event streams.
 package cpu
 
 import (
@@ -89,13 +94,6 @@ type EventSink interface {
 	NextSlot() *Event
 }
 
-// StepHook intercepts the run loop before each step with the current
-// retire count and PC; a non-nil error aborts Run with that error.
-// Installed via Machine.Hook — used by the watchdog progress publisher
-// and the fault-injection harness. When no hook is installed the run
-// loop pays nothing for the feature.
-type StepHook func(count uint64, pc uint32) error
-
 // MaxTrackedArgs bounds how many argument values a CallEvent carries.
 const MaxTrackedArgs = 8
 
@@ -142,6 +140,18 @@ type Counters struct {
 	Kinds [isa.NumKinds]uint64
 }
 
+// TransCounters record the translation cache's work. They describe how
+// the machine executed, not what it computed, so SnapshotTo leaves them
+// out and a restored machine counts from zero.
+type TransCounters struct {
+	// Blocks is the number of superblocks translated.
+	Blocks uint64
+	// FallbackSteps is the number of instructions the translated loop
+	// handed to Step because no block exists at the PC (a PC outside
+	// the text segment, where Step reproduces the fetch fault).
+	FallbackSteps uint64
+}
+
 // Machine is one simulated CPU with its memory and OS interface.
 type Machine struct {
 	Image *program.Image
@@ -166,17 +176,14 @@ type Machine struct {
 	input []byte
 	inPos int
 
-	// Hook, when non-nil, runs before every step (see StepHook). Run
-	// switches to a hooked loop so the common path stays unchanged.
-	// A hooked machine always executes through the Step interpreter:
-	// the hook contract is "called before every instruction", which the
-	// block-translated path does not honor.
-	Hook StepHook
-
-	// NoTranslate forces the Step interpreter even when no Hook is
-	// installed (used by the differential harness and as an escape
-	// hatch; see translate.go).
+	// NoTranslate forces the Step interpreter instead of the block
+	// translation cache (used by the differential harness and as an
+	// escape hatch; see translate.go).
 	NoTranslate bool
+
+	// Trans counts the translation cache's work (zero when NoTranslate
+	// is set).
+	Trans TransCounters
 
 	observers     []Observer
 	callObservers []CallObserver
@@ -228,30 +235,16 @@ func (m *Machine) InputRemaining() int { return len(m.input) - m.inPos }
 
 // Run executes at most max instructions (all remaining if max == 0),
 // returning the number retired. It stops early when the program exits
-// or when the installed Hook (if any) returns an error.
+// or an instruction faults. Run stops after exactly max instructions on
+// either path, and a later Run continues where it stopped, so callers
+// that need to act at a given retire count (progress publication, fault
+// injection) split the budget rather than intercept steps.
 func (m *Machine) Run(max uint64) (uint64, error) {
 	start := m.Count
-	if m.Hook != nil {
-		return m.runHooked(max, start)
-	}
 	if !m.NoTranslate {
 		return m.runTranslated(max, start)
 	}
 	for !m.Halted && (max == 0 || m.Count-start < max) {
-		if err := m.Step(); err != nil {
-			return m.Count - start, err
-		}
-	}
-	return m.Count - start, nil
-}
-
-// runHooked is the Run loop with the per-step Hook consulted; kept
-// separate so the unhooked hot loop carries no extra branch.
-func (m *Machine) runHooked(max, start uint64) (uint64, error) {
-	for !m.Halted && (max == 0 || m.Count-start < max) {
-		if err := m.Hook(m.Count, m.PC); err != nil {
-			return m.Count - start, err
-		}
 		if err := m.Step(); err != nil {
 			return m.Count - start, err
 		}

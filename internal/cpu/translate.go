@@ -28,11 +28,14 @@
 // fault behavior, and Run budget accounting) as the Step interpreter.
 // Micro-ops with no specialization fall back to the interpreter's own
 // execute() on a template identical to Step's initial Event, making
-// the fallback equivalent by construction. The interpreter remains
-// the only path when a Hook is installed (watchdog polling and fault
-// injection require per-instruction interception) or when NoTranslate
-// is set; the differential harness in translate_test.go holds the two
-// paths equal.
+// the fallback equivalent by construction. The interpreter runs a
+// whole Run only when NoTranslate is set; otherwise the translated loop
+// calls Step only where no block exists (a PC outside the text
+// segment, counted in Trans.FallbackSteps). Run honors its budget to
+// the instruction on both paths, so callers that must act at an exact
+// retire count (the watchdog's progress publication, fault injection)
+// split the budget and stay translated. The differential harness in
+// translate_test.go holds the two paths equal.
 package cpu
 
 import (
@@ -165,6 +168,7 @@ func (m *Machine) blockAt(pc uint32) *block {
 	if b == nil {
 		b = m.translate(pc)
 		m.trans.blocks[idx] = b
+		m.Trans.Blocks++
 	}
 	return b
 }
@@ -416,6 +420,7 @@ func (m *Machine) runTranslated(max, start uint64) (uint64, error) {
 	for !m.Halted && m.Count-start < budget {
 		b := m.blockAt(m.PC)
 		if b == nil {
+			m.Trans.FallbackSteps++
 			if err := m.Step(); err != nil {
 				return m.Count - start, err
 			}

@@ -11,11 +11,14 @@
 // three sites:
 //
 //   - compilation (repro.RunWorkload / repro.RunSource): CompileError
-//   - the simulator step loop (cpu.Machine.Hook): StepHook
+//   - the run loop's stop points (core's sub-chunk loop): Stops
 //   - instruction observation (cpu.Machine.Attach): Observer
 //
-// A nil *Plan is valid everywhere and injects nothing, so production
-// paths carry no fault-injection cost beyond one nil check.
+// Stop points do not intercept the simulator: the run loop runs the
+// machine exactly up to each point, on the same translated path
+// production runs take, and applies the fault there. A nil *Plan is
+// valid everywhere and injects nothing, so production paths carry no
+// fault-injection cost beyond one nil check per sub-chunk.
 package faultinject
 
 import (
@@ -32,15 +35,16 @@ type Kind int
 const (
 	// CompileFail makes the workload's compilation return an error.
 	CompileFail Kind = iota
-	// SimFault makes the simulator step at retire count At return an
-	// error, as a real fault (divide by zero, bad access) would.
+	// SimFault stops the run at retire count At with an error, as a
+	// real fault (divide by zero, bad access) would: exactly At
+	// instructions have retired and the machine is not halted.
 	SimFault
 	// ObserverPanic panics inside an attached observer when the
 	// instruction with dynamic index At retires, exercising the
 	// per-workload panic isolation.
 	ObserverPanic
-	// SlowStep stalls every step at or after retire count At for
-	// Delay, simulating a wedged or runaway workload for the
+	// SlowStep stalls before every instruction from retire count At
+	// on for Delay, simulating a wedged or runaway workload for the
 	// watchdog. The stall is cancellation-aware: it aborts early with
 	// the context's cause when the run is canceled.
 	SlowStep
@@ -116,43 +120,70 @@ func (p *Plan) CompileError(workload string) error {
 	return nil
 }
 
-// StepHook builds the simulator step hook combining the workload's
-// SimFault and SlowStep faults, or nil when none apply. The hook runs
-// before every step with the current retire count and PC; SlowStep
-// stalls are interruptible through ctx so a watchdog or timeout abort
-// is not itself blocked by the injected stall.
-func (p *Plan) StepHook(ctx context.Context, workload string) cpu.StepHook {
+// Stops is a workload's SimFault and SlowStep faults as stop points of
+// the run loop, which runs the machine exactly to the retire count Next
+// returns and calls Apply there before retiring the next instruction.
+// An empty Stops has no stop points.
+type Stops []Fault
+
+// Stops collects the workload's SimFault and SlowStep faults (nil when
+// none apply).
+func (p *Plan) Stops(workload string) Stops {
 	if p == nil {
 		return nil
 	}
-	var sel []Fault
+	var sel Stops
 	for _, f := range p.faults {
 		if (f.Kind == SimFault || f.Kind == SlowStep) && f.matches(workload) {
 			sel = append(sel, f)
 		}
 	}
-	if len(sel) == 0 {
-		return nil
+	return sel
+}
+
+// Next returns the first stop point at or after retire count count,
+// and false when none remains. Once a SlowStep fault's At is reached,
+// every later count is a stop point.
+func (s Stops) Next(count uint64) (uint64, bool) {
+	var next uint64
+	found := false
+	for _, f := range s {
+		at := f.At
+		if f.Kind == SlowStep {
+			at = max(at, count)
+		}
+		if at >= count && (!found || at < next) {
+			next, found = at, true
+		}
 	}
-	return func(count uint64, pc uint32) error {
-		for _, f := range sel {
-			switch f.Kind {
-			case SimFault:
-				if count == f.At {
-					return fmt.Errorf("faultinject: pc=0x%x: %s", pc, f.message("injected simulator fault"))
-				}
-			case SlowStep:
-				if count >= f.At {
-					select {
-					case <-time.After(f.Delay):
-					case <-ctx.Done():
-						return cause(ctx)
-					}
+	return next, found
+}
+
+// Apply fires the faults due at retire count count, with pc the address
+// of the instruction about to retire: a SimFault returns its error, and
+// a SlowStep stalls for its Delay. The stall is interruptible through
+// ctx, returning the context's cause, so a watchdog or timeout abort is
+// not itself blocked by the injected stall.
+func (s Stops) Apply(ctx context.Context, count uint64, pc uint32) error {
+	for _, f := range s {
+		switch f.Kind {
+		case SimFault:
+			if count == f.At {
+				return fmt.Errorf("faultinject: pc=0x%x: %s", pc, f.message("injected simulator fault"))
+			}
+		case SlowStep:
+			if count >= f.At {
+				t := time.NewTimer(f.Delay)
+				select {
+				case <-t.C:
+				case <-ctx.Done():
+					t.Stop()
+					return cause(ctx)
 				}
 			}
 		}
-		return nil
 	}
+	return nil
 }
 
 // Observer returns an observer that panics at the configured retire

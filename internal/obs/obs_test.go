@@ -192,6 +192,9 @@ func TestRunMetricsGolden(t *testing.T) {
 			},
 		},
 		RetireRateMIPS:      4.17,
+		ExecPath:            ExecTranslated,
+		BlocksTranslated:    1_234,
+		FallbackSteps:       2,
 		ObserverSampleEvery: 64,
 		Observers: []ObserverCost{
 			{Name: "repetition", Samples: 78125, SampledNS: 6_250_000, EstimatedNS: 400_000_000, SharePct: 40},
@@ -208,6 +211,7 @@ func TestRunMetricsGolden(t *testing.T) {
 		"simulator:",
 		"  instructions retired   5,000,000",
 		"  retire rate            4.17 MIPS",
+		"  exec path              translated (1,234 blocks translated, 2 fallback steps)",
 		"  loads                  1,000,000",
 		"  stores                 250,000",
 		"  branches               800,000 (600,000 taken)",

@@ -32,6 +32,17 @@ type RunMetrics struct {
 	// second over the measure window.
 	RetireRateMIPS float64 `json:"retire_rate_mips"`
 
+	// ExecPath names the simulator loop the run executed on:
+	// ExecTranslated (the block translation cache) or ExecInterpreted
+	// (the Step interpreter, chosen by Config.DisableTranslation).
+	ExecPath string `json:"exec_path,omitempty"`
+	// BlocksTranslated is how many superblocks the translation cache
+	// built during the run (0 on the interpreted path).
+	BlocksTranslated uint64 `json:"blocks_translated"`
+	// FallbackSteps is how many instructions the translated loop handed
+	// to the Step interpreter because no block existed at the PC.
+	FallbackSteps uint64 `json:"fallback_steps"`
+
 	// ObserverSampleEvery is the attribution sampling period: one in
 	// every N instructions is individually timed per observer.
 	ObserverSampleEvery uint64 `json:"observer_sample_every,omitempty"`
@@ -47,6 +58,12 @@ type RunMetrics struct {
 	// and SpreadPct reports how noisy the measurement was.
 	Waves *WaveStats `json:"waves,omitempty"`
 }
+
+// RunMetrics.ExecPath values.
+const (
+	ExecTranslated  = "translated"
+	ExecInterpreted = "interpreted"
+)
 
 // WaveStats summarizes a min-of-N-waves re-measurement.
 type WaveStats struct {
@@ -130,6 +147,10 @@ func (m *RunMetrics) FormatText() string {
 	if w := m.Waves; w != nil {
 		kv("waves", fmt.Sprintf("best-of-%d %.2f MIPS (worst %.2f, spread %.1f%%)",
 			w.N, w.BestMIPS, w.WorstMIPS, w.SpreadPct))
+	}
+	if m.ExecPath != "" {
+		kv("exec path", fmt.Sprintf("%s (%s blocks translated, %s fallback steps)",
+			m.ExecPath, groupCount(m.BlocksTranslated), groupCount(m.FallbackSteps)))
 	}
 	kv("loads", groupCount(m.Sim.Loads))
 	kv("stores", groupCount(m.Sim.Stores))

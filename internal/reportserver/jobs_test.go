@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/checkpoint"
 	"repro/internal/jobs"
 	"repro/internal/minic"
 )
@@ -149,6 +150,57 @@ func TestJobLifecycleOverHTTP(t *testing.T) {
 	}
 	if !bytes.Equal(jobReport, syncReport) {
 		t.Errorf("async report differs from sync report:\n%s\n%s", jobReport, syncReport)
+	}
+}
+
+// TestShortJobWritesNoSnapshot runs a real job whose window fits in one
+// run-loop chunk, the shape of a golden grid cell, with snapshots paced
+// every 25k retired instructions and the watchdog armed as `serve
+// -watchdog` arms it. Its only chunk boundaries are the end of the skip
+// phase (10k retired, not yet due) and the end of the window, which
+// never snapshots, so the job writes nothing; its report still matches
+// a direct run byte for byte.
+func TestShortJobWritesNoSnapshot(t *testing.T) {
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	window := repro.Config{SkipInstructions: 10_000, MeasureInstructions: 50_000}
+	runCfg := window
+	runCfg.WatchdogInterval = 30 * time.Second
+	_, ts := newJobsServer(t, Config{RunConfig: runCfg, Checkpoints: store}, JobsConfig{CheckpointEvery: 25_000})
+
+	code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"workload":"lzw"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d body=%q", code, body)
+	}
+	var doc jobs.Doc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	pollJob(t, ts.URL, doc.ID, jobs.StateDone)
+	code, _, got := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc.ID+"/report", "")
+	if code != http.StatusOK {
+		t.Fatalf("job report: code=%d body=%q", code, got)
+	}
+	rep, err := repro.RunWorkload(context.Background(), "lzw", window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := repro.CanonicalReportJSON(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("job report differs from a direct run (%d vs %d bytes)", len(got), len(want))
+	}
+
+	_, prom := get(t, ts.URL+"/metrics?format=prometheus")
+	if !strings.Contains(string(prom), "\ninstrep_checkpoint_writes 0\n") {
+		t.Errorf("checkpoint_writes is not 0 after a one-chunk job:\n%s", prom)
+	}
+	if n := store.Stats.Writes.Value(); n != 0 {
+		t.Errorf("store wrote %d snapshots, want 0", n)
 	}
 }
 

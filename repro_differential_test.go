@@ -4,15 +4,19 @@ package repro_test
 // interpreted executions must produce byte-identical canonical reports
 // for every workload — the same invariant the golden corpus pins, but
 // checked directly against each other so it holds even when the corpus
-// is being regenerated. The machine-level differential (event streams,
-// faults, final state) lives in internal/cpu/translate_test.go.
+// is being regenerated. Arming the watchdog must change neither the
+// bytes nor the execution path. The machine-level differential (event
+// streams, faults, final state) lives in internal/cpu/translate_test.go.
 
 import (
 	"bytes"
 	"context"
+	"os"
 	"testing"
+	"time"
 
 	"repro"
+	"repro/internal/obs"
 )
 
 func TestDifferentialReports(t *testing.T) {
@@ -46,6 +50,40 @@ func TestDifferentialReports(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: translated report diverged from interpreted\n%s",
 				tr.Benchmark, firstDiff(want, got))
+		}
+	}
+}
+
+// TestDifferentialWatchdogArmed runs every workload with the watchdog
+// armed, as serve jobs run: the reports must match the golden corpus
+// byte for byte, and the run must have stayed on the translated path.
+func TestDifferentialWatchdogArmed(t *testing.T) {
+	cfg := repro.QuickConfig()
+	cfg.WatchdogInterval = 30 * time.Second
+	reports, err := repro.RunAll(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(repro.Workloads()); len(reports) != want {
+		t.Fatalf("got %d reports, want %d", len(reports), want)
+	}
+	for _, r := range reports {
+		if m := r.Metrics; m == nil {
+			t.Errorf("%s: no run metrics", r.Benchmark)
+		} else if m.ExecPath != obs.ExecTranslated || m.BlocksTranslated == 0 {
+			t.Errorf("%s: armed run exec path %q with %d blocks translated, want translated with blocks",
+				r.Benchmark, m.ExecPath, m.BlocksTranslated)
+		}
+		got, err := repro.CanonicalReportJSON(r)
+		if err != nil {
+			t.Fatalf("%s: %v", r.Benchmark, err)
+		}
+		want, err := os.ReadFile(goldenPath(r.Benchmark))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: armed report diverged from the golden corpus\n%s", r.Benchmark, firstDiff(want, got))
 		}
 	}
 }
