@@ -4,7 +4,7 @@
 
 all: check
 
-# Default gate: build+test, static analysis, the race detector
+# Default gate: build+test, static analysis, gofmt, the race detector
 # (includes the concurrent-Progress ticker test and the resilience
 # tests), an enforced coverage floor, a quick benchmark smoke run,
 # the interpreter-vs-translator differential suite under -race,
@@ -12,7 +12,7 @@ all: check
 # SIGKILL/resume checkpoint loop, the durable-job crash/restart
 # chaos test, the extended chaos run against the overload-hardened
 # server, and a tiny end-to-end design-space sweep through the CLI.
-check: test vet race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
+check: test vet lint race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
 
 # Enforced statement-coverage floor across the whole module. The
 # current baseline is ~84%; the floor sits a few points below so
@@ -106,8 +106,11 @@ sweepsmoke:
 repro:
 	go run ./examples/fullpaper
 
+# gofmt -l exits 0 even when it lists files, so fail on any output.
 lint:
-	gofmt -l . && go vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed:"; echo "$$unformatted"; exit 1; fi
+	go vet ./...
 
 examples:
 	go run ./examples/quickstart

@@ -141,6 +141,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"log/slog"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -540,23 +541,23 @@ func cmdServe(ctx context.Context, args []string) error {
 			return fmt.Errorf("opening -checkpoint-dir: %w", err)
 		}
 	}
-	level := obs.LevelDebug
+	level := slog.LevelDebug
 	if *quiet {
-		level = obs.LevelError
+		level = slog.LevelError
 	}
-	log := obs.NewLogger(os.Stderr, level)
-	var access *obs.Logger
+	log := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	var access *slog.Logger
 	switch *accessLog {
 	case "":
 	case "-":
-		access = obs.NewJSONLogger(os.Stderr, obs.LevelInfo)
+		access = reportserver.NewAccessLog(os.Stderr)
 	default:
 		f, err := os.OpenFile(*accessLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("opening -access-log: %w", err)
 		}
 		defer f.Close()
-		access = obs.NewJSONLogger(f, obs.LevelInfo)
+		access = reportserver.NewAccessLog(f)
 	}
 	srv := reportserver.New(reportserver.Config{
 		RunConfig: repro.Config{
@@ -721,11 +722,10 @@ func cmdExec(args []string) error {
 	if err != nil {
 		return fmt.Errorf("after %d instructions: %w", n, err)
 	}
-	log := obs.NewLogger(os.Stderr, obs.LevelInfo)
 	if m.Halted {
-		log.Info("program exited", "code", m.ExitCode, "instructions", n)
+		slog.Info("program exited", "code", m.ExitCode, "instructions", n)
 	} else {
-		log.Warn("instruction budget exhausted", "instructions", n)
+		slog.Warn("instruction budget exhausted", "instructions", n)
 	}
 	return nil
 }

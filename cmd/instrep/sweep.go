@@ -109,12 +109,13 @@ func cmdSweep(ctx context.Context, args []string) error {
 	}
 
 	eng := &sweep.Engine{
-		Run:      runner.RunWorkload,
-		Parallel: *parallel,
-		Shape: func(c *core.Config) {
-			c.Timeout = *timeout
-			c.WatchdogInterval = *watchdog
+		// Timeout and watchdog shape execution only; the cell's
+		// measurement fields, and so its artifact row, stay the spec's.
+		Run: func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+			cfg.Timeout, cfg.WatchdogInterval = *timeout, *watchdog
+			return runner.RunWorkload(ctx, workload, cfg)
 		},
+		Parallel: *parallel,
 	}
 	if *progress {
 		var mu sync.Mutex

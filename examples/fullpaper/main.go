@@ -10,11 +10,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
+	"log/slog"
 	"time"
 
 	"repro"
-	"repro/internal/obs"
 )
 
 func main() {
@@ -32,7 +31,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	obs.NewLogger(os.Stderr, obs.LevelInfo).Info("full paper run complete",
+	slog.Info("full paper run complete",
 		"workloads", len(reports), "measured", *measure,
 		"elapsed", time.Since(start).Round(time.Millisecond))
 

@@ -408,11 +408,32 @@ func (p *Pipeline) flush() {
 			now = t
 		}
 	}
+	b.reset()
+}
+
+// reset empties the batch for the next flush.
+func (b *batch) reset() {
 	b.evs = b.evs[:0]
 	b.vers = b.vers[:0]
 	b.calls = b.calls[:0]
 	b.rets = b.rets[:0]
 	b.kinds = b.kinds[:0]
+}
+
+// panicAt is the stage core.Run appends last to the pipeline for an
+// ObserverPanic fault: it panics with msg when its pass reaches the
+// event with index at. Every other stage has observed the whole batch
+// by then, so the stage empties it first and collecting the partial
+// report does not observe the batch twice.
+func panicAt(at uint64, msg string) func(*batch) {
+	return func(b *batch) {
+		for i := range b.evs {
+			if b.evs[i].Index == at {
+				b.reset()
+				panic(msg)
+			}
+		}
+	}
 }
 
 // ObserverCosts reports the per-observer pass times, extrapolated
@@ -772,10 +793,10 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		m := cpu.New(im, input)
 		m.NoTranslate = cfg.DisableTranslation
 		p := NewPipeline(im, cfg)
-		m.Attach(p)
-		if o := cfg.Faults.Observer(name); o != nil {
-			m.Attach(o)
+		if at, msg, ok := cfg.Faults.ObserverPanic(name); ok {
+			p.stages = append(p.stages, stage{name: "faultinject", run: panicAt(at, msg)})
 		}
+		m.Attach(p)
 		return m, p
 	}
 	m, p := build()

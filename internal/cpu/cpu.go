@@ -82,13 +82,13 @@ type Observer interface {
 }
 
 // EventSink is an Observer that additionally exposes the storage the
-// machine may build the next event in, so a sole observer that buffers
+// machine may build the next event in, so an observer that buffers
 // events (the core pipeline) receives them without a build-then-copy.
 // NextSlot returns scratch space for the upcoming instruction; the
 // event only becomes the sink's when the machine passes the same
 // pointer to OnInst (an abandoned slot — a faulting instruction — is
-// simply reused). The machine uses the slot protocol only while the
-// sink is its single attached observer.
+// simply reused). The machine has one observer, so an attached sink
+// always gets the slot protocol.
 type EventSink interface {
 	Observer
 	NextSlot() *Event
@@ -185,11 +185,11 @@ type Machine struct {
 	// is set).
 	Trans TransCounters
 
-	observers     []Observer
-	callObservers []CallObserver
-	sink          EventSink // non-nil iff the single observer is an EventSink
-	ev            Event
-	trans         *transTable
+	observer Observer
+	callObs  CallObserver // observer as a CallObserver, when it is one
+	sink     EventSink    // observer as an EventSink, when it is one
+	ev       Event
+	trans    *transTable
 }
 
 // New creates a machine, loads the image, and initializes registers.
@@ -207,27 +207,13 @@ func New(im *program.Image, input []byte) *Machine {
 	return m
 }
 
-// Attach registers an observer; if it also implements CallObserver it
-// receives call/return events.
+// Attach sets the machine's observer, replacing any earlier one. If it
+// also implements CallObserver it receives call/return events, and if
+// it implements EventSink the machine builds each event in its slot.
 func (m *Machine) Attach(o Observer) {
-	m.observers = append(m.observers, o)
-	if co, ok := o.(CallObserver); ok {
-		m.callObservers = append(m.callObservers, co)
-	}
-	// The slot protocol requires a single observer: with several, each
-	// must see the event, so the machine builds it in its own buffer.
-	if len(m.observers) == 1 {
-		m.sink, _ = o.(EventSink)
-	} else {
-		m.sink = nil
-	}
-}
-
-// DetachAll removes every observer.
-func (m *Machine) DetachAll() {
-	m.observers = nil
-	m.callObservers = nil
-	m.sink = nil
+	m.observer = o
+	m.callObs, _ = o.(CallObserver)
+	m.sink, _ = o.(EventSink)
 }
 
 // InputRemaining returns the number of unread input bytes.
@@ -310,16 +296,12 @@ func (m *Machine) Step() error {
 	}
 	m.PC = ev.NextPC
 
-	if m.sink != nil {
-		m.sink.OnInst(ev)
-	} else {
-		for _, o := range m.observers {
-			o.OnInst(ev)
-		}
+	if m.observer != nil {
+		m.observer.OnInst(ev)
 	}
-	// Call/return events follow the instruction event so observers see
-	// a consistent order.
-	if len(m.callObservers) > 0 {
+	// Call/return events follow the instruction event so the observer
+	// sees a consistent order.
+	if m.callObs != nil {
 		m.emitCallEvents(ev)
 	}
 	return nil
@@ -366,17 +348,13 @@ func (m *Machine) emitCall(ev *Event, callee *program.Func) {
 			}
 		}
 	}
-	for _, o := range m.callObservers {
-		o.OnCall(&ce)
-	}
+	m.callObs.OnCall(&ce)
 }
 
 // emitRet delivers the return event for a retired JR $ra.
 func (m *Machine) emitRet(ev *Event) {
 	re := RetEvent{Index: ev.Index, PC: ev.PC, Target: ev.NextPC}
-	for _, o := range m.callObservers {
-		o.OnReturn(&re)
-	}
+	m.callObs.OnReturn(&re)
 }
 
 // setDst records the destination write. A write targeting $zero is

@@ -438,7 +438,7 @@ func (m *Machine) runTranslated(max, start uint64) (uint64, error) {
 // event from template, execute, $zero reset, retirement bookkeeping,
 // PC update, observer dispatch, call events.
 func (m *Machine) execBlock(b *block, start, budget uint64) error {
-	sink := m.sink
+	sink, o := m.sink, m.observer
 	i := int32(0)
 	for m.Count-start < budget {
 		op := &b.ops[i]
@@ -713,14 +713,10 @@ func (m *Machine) execBlock(b *block, start, budget uint64) error {
 		}
 		m.PC = ev.NextPC
 
-		if sink != nil {
-			sink.OnInst(ev)
-		} else {
-			for _, o := range m.observers {
-				o.OnInst(ev)
-			}
+		if o != nil {
+			o.OnInst(ev)
 		}
-		if op.isCallRet && len(m.callObservers) > 0 {
+		if op.isCallRet && m.callObs != nil {
 			switch op.code {
 			case uJAL:
 				m.emitCall(ev, op.callee)

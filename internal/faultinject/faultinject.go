@@ -1,18 +1,18 @@
 // Package faultinject provides deterministic, test-injectable fault
 // points for the run path. A Plan is a static list of faults, each
 // firing at an exact place (a workload's compilation, a retire count
-// in the simulator, an observer callback) so that a faulted run is as
-// reproducible as a clean one. The resilience tests drive every
-// degradation path in internal/core through this package: compile
-// failures, simulator faults mid-window, observer panics, and slow or
-// fully stalled steps that the deadman watchdog must catch.
+// in the simulator, an event in the observer pipeline) so that a
+// faulted run is as reproducible as a clean one. The resilience tests
+// drive every degradation path in internal/core through this package:
+// compile failures, simulator faults mid-window, observer panics, and
+// slow or fully stalled steps that the deadman watchdog must catch.
 //
 // Plans are wired into a run via core.Config.Faults and consulted at
 // three sites:
 //
 //   - compilation (repro.RunWorkload / repro.RunSource): CompileError
 //   - the run loop's stop points (core's sub-chunk loop): Stops
-//   - instruction observation (cpu.Machine.Attach): Observer
+//   - the observer pipeline's last stage (core.Run): ObserverPanic
 //
 // Stop points do not intercept the simulator: the run loop runs the
 // machine exactly up to each point, on the same translated path
@@ -25,8 +25,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"repro/internal/cpu"
 )
 
 // Kind selects a fault point.
@@ -39,9 +37,9 @@ const (
 	// real fault (divide by zero, bad access) would: exactly At
 	// instructions have retired and the machine is not halted.
 	SimFault
-	// ObserverPanic panics inside an attached observer when the
-	// instruction with dynamic index At retires, exercising the
-	// per-workload panic isolation.
+	// ObserverPanic panics inside the observer pipeline when its last
+	// stage reaches the instruction with dynamic index At, exercising
+	// the per-workload panic isolation.
 	ObserverPanic
 	// SlowStep stalls before every instruction from retire count At
 	// on for Delay, simulating a wedged or runaway workload for the
@@ -186,30 +184,19 @@ func (s Stops) Apply(ctx context.Context, count uint64, pc uint32) error {
 	return nil
 }
 
-// Observer returns an observer that panics at the configured retire
-// count for the workload, or nil when no ObserverPanic fault applies.
-func (p *Plan) Observer(workload string) cpu.Observer {
+// ObserverPanic returns the dynamic instruction index at which the
+// workload's observer pipeline must panic, and the panic value, or
+// false when no ObserverPanic fault applies.
+func (p *Plan) ObserverPanic(workload string) (at uint64, msg string, ok bool) {
 	if p == nil {
-		return nil
+		return 0, "", false
 	}
 	for _, f := range p.faults {
 		if f.Kind == ObserverPanic && f.matches(workload) {
-			return &panicObserver{at: f.At, msg: f.message("injected observer panic")}
+			return f.At, f.message("injected observer panic"), true
 		}
 	}
-	return nil
-}
-
-// panicObserver panics when the instruction with index at retires.
-type panicObserver struct {
-	at  uint64
-	msg string
-}
-
-func (o *panicObserver) OnInst(ev *cpu.Event) {
-	if ev.Index == o.at {
-		panic(o.msg)
-	}
+	return 0, "", false
 }
 
 // cause returns the context's cancel cause, falling back to its plain

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/cpu"
 )
 
 func TestNilPlanInjectsNothing(t *testing.T) {
@@ -25,8 +23,8 @@ func TestNilPlanInjectsNothing(t *testing.T) {
 	if err := s.Apply(context.Background(), 0, 0); err != nil {
 		t.Errorf("nil Stops Apply = %v", err)
 	}
-	if o := p.Observer("any"); o != nil {
-		t.Error("nil plan Observer must be nil")
+	if _, _, ok := p.ObserverPanic("any"); ok {
+		t.Error("nil plan has an observer panic")
 	}
 }
 
@@ -111,21 +109,21 @@ func TestSlowStepIsCancellable(t *testing.T) {
 	}
 }
 
+// TestObserverPanics pins the accessor core.Run's panic stage reads:
+// the fault's index and message for a matching workload, the default
+// message when none is set, and nothing for other workloads.
 func TestObserverPanics(t *testing.T) {
-	p := NewPlan(Fault{Kind: ObserverPanic, At: 2, Message: "kaboom"})
-	o := p.Observer("w")
-	if o == nil {
-		t.Fatal("expected an observer")
+	p := NewPlan(
+		Fault{Kind: ObserverPanic, Workload: "w", At: 2, Message: "kaboom"},
+		Fault{Kind: ObserverPanic, Workload: "v", At: 9},
+	)
+	if at, msg, ok := p.ObserverPanic("w"); !ok || at != 2 || msg != "kaboom" {
+		t.Errorf("ObserverPanic(w) = %d, %q, %v; want 2, kaboom, true", at, msg, ok)
 	}
-	o.OnInst(&cpu.Event{Index: 1}) // must not panic
-	defer func() {
-		pv := recover()
-		if pv == nil {
-			t.Fatal("observer did not panic at its index")
-		}
-		if s, ok := pv.(string); !ok || s != "kaboom" {
-			t.Errorf("panic value = %v, want injected message", pv)
-		}
-	}()
-	o.OnInst(&cpu.Event{Index: 2})
+	if at, msg, ok := p.ObserverPanic("v"); !ok || at != 9 || msg != "injected observer panic" {
+		t.Errorf("ObserverPanic(v) = %d, %q, %v; want the default message", at, msg, ok)
+	}
+	if _, _, ok := p.ObserverPanic("other"); ok {
+		t.Error("fault scoped to w and v fired for another workload")
+	}
 }

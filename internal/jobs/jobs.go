@@ -102,25 +102,27 @@ func SpecFromConfig(workload string, cfg core.Config) Spec {
 	}
 }
 
-// Config converts the spec back into a measurement Config. It fails on
-// an unknown replacement policy; workload existence is checked by
-// Validate.
-func (s Spec) Config() (core.Config, error) {
-	cfg := core.Config{
-		SkipInstructions:    s.Skip,
-		MeasureInstructions: s.Measure,
-		MaxInstances:        s.MaxInstances,
-		ReuseEntries:        s.ReuseEntries,
-		ReuseAssoc:          s.ReuseAssoc,
-		VPredEntries:        s.VPredEntries,
-		InputVariant:        s.InputVariant,
-		DisableTaint:        s.DisableTaint,
-		DisableLocal:        s.DisableLocal,
-		DisableFunc:         s.DisableFunc,
-		DisableReuse:        s.DisableReuse,
-		DisableVPred:        s.DisableVPred,
-		DisableVProf:        s.DisableVProf,
-	}
+// Config returns base with every measurement field replaced by the
+// spec's: a job runs under the serving process's execution shaping
+// (timeout, watchdog, dispatch path, health and run registry) and
+// measures exactly what the spec names. It fails on an unknown
+// replacement policy; workload existence is checked by Validate.
+func (s Spec) Config(base core.Config) (core.Config, error) {
+	cfg := base
+	cfg.SkipInstructions = s.Skip
+	cfg.MeasureInstructions = s.Measure
+	cfg.MaxInstances = s.MaxInstances
+	cfg.ReuseEntries = s.ReuseEntries
+	cfg.ReuseAssoc = s.ReuseAssoc
+	cfg.ReusePolicy = reuse.LRU
+	cfg.VPredEntries = s.VPredEntries
+	cfg.InputVariant = s.InputVariant
+	cfg.DisableTaint = s.DisableTaint
+	cfg.DisableLocal = s.DisableLocal
+	cfg.DisableFunc = s.DisableFunc
+	cfg.DisableReuse = s.DisableReuse
+	cfg.DisableVPred = s.DisableVPred
+	cfg.DisableVProf = s.DisableVProf
 	if s.ReusePolicy != "" {
 		p, err := reuse.ParsePolicy(s.ReusePolicy)
 		if err != nil {
@@ -140,7 +142,7 @@ func (s Spec) Validate() (id string, err error) {
 	if !ok {
 		return "", fmt.Errorf("jobs: unknown workload %q (have %v)", s.Workload, workloads.Names())
 	}
-	cfg, err := s.Config()
+	cfg, err := s.Config(core.Config{})
 	if err != nil {
 		return "", fmt.Errorf("jobs: %w", err)
 	}

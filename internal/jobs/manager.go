@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"math"
 	"math/rand"
 	"sort"
@@ -67,15 +68,17 @@ type Options struct {
 	// Backoff·2^(attempt-1) ±25% jitter, capped at MaxBackoff.
 	Backoff    time.Duration
 	MaxBackoff time.Duration
-	// Shape, when set, adjusts each attempt's Config just before the
-	// run — the server copies its execution-shaping fields (timeout,
-	// watchdog, dispatch path) here, since those are deliberately not
-	// part of the job Spec.
-	Shape func(*core.Config)
+	// RunConfig is the serving process's run configuration. Every
+	// attempt, and every ReportJSON recompute, runs a copy of it with
+	// the spec's measurement fields written over it (Spec.Config), so
+	// jobs get the same execution shaping — timeout, watchdog,
+	// dispatch path, health counters, run registry — as the server's
+	// synchronous requests.
+	RunConfig core.Config
 	// Registry receives job_* counters (nil = obs.Default).
 	Registry *obs.Registry
-	// Log receives job lifecycle lines (nil = silent).
-	Log *obs.Logger
+	// Log receives job lifecycle lines (nil = discarded).
+	Log *slog.Logger
 
 	// now is the clock; tests replace it to pin backoff schedules.
 	now func() time.Time
@@ -154,6 +157,9 @@ func Open(opts Options) (*Manager, error) {
 	}
 	if opts.now == nil {
 		opts.now = time.Now
+	}
+	if opts.Log == nil {
+		opts.Log = obs.Discard
 	}
 	journal, live, err := OpenJournal(opts.Dir)
 	if err != nil {
@@ -350,9 +356,10 @@ func (m *Manager) Cancel(id string) (Doc, error) {
 }
 
 // ReportJSON returns the canonical report bytes for a done job. The
-// report is recomputed through the Runner — normally a pure cache hit;
-// if the cache entry was evicted the deterministic simulator rebuilds
-// byte-identical output (resuming from any surviving checkpoint).
+// report is recomputed through the Runner under the job's attempt
+// configuration — normally a pure cache hit; if the cache entry was
+// evicted the deterministic simulator rebuilds byte-identical output
+// (resuming from any surviving checkpoint).
 func (m *Manager) ReportJSON(ctx context.Context, id string) ([]byte, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -366,7 +373,7 @@ func (m *Manager) ReportJSON(ctx context.Context, id string) ([]byte, error) {
 	}
 	spec := j.rec.Spec
 	m.mu.Unlock()
-	cfg, err := spec.Config()
+	cfg, err := spec.Config(m.opts.RunConfig)
 	if err != nil {
 		return nil, err
 	}
@@ -500,14 +507,11 @@ func (m *Manager) runJob(j *job) {
 		return
 	}
 
-	cfg, err := rec.Spec.Config()
+	cfg, err := rec.Spec.Config(m.opts.RunConfig)
 	if err != nil {
 		// Can't happen past Submit's validation; classify as permanent.
 		m.complete(j, &minic.Error{Msg: err.Error()})
 		return
-	}
-	if m.opts.Shape != nil {
-		m.opts.Shape(&cfg)
 	}
 	if m.opts.Checkpoints != nil {
 		cfg.Checkpoint = &core.CheckpointPolicy{

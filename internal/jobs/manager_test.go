@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -13,7 +14,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/core"
 	"repro/internal/minic"
-	"repro/internal/obs"
+	"repro/internal/reuse"
 )
 
 // testSpec is a valid tiny job spec (the workload must exist; the
@@ -394,7 +395,7 @@ func TestReportJSONEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := spec.Config()
+	cfg, err := spec.Config(core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,13 +468,25 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 		DisableVPred:        true,
 	}
 	spec := SpecFromConfig("lzw", cfg)
-	back, err := spec.Config()
+	// The spec's fields overwrite every measurement field of the base
+	// and leave its execution shaping alone.
+	base := core.Config{
+		MeasureInstructions: 99,
+		ReusePolicy:         reuse.FIFO,
+		DisableTaint:        true,
+		Timeout:             time.Minute,
+		WatchdogInterval:    time.Second,
+	}
+	back, err := spec.Config(base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if back.MeasurementKey() != cfg.MeasurementKey() {
 		t.Errorf("round trip changed the measurement key:\n  %s\n  %s",
 			cfg.MeasurementKey(), back.MeasurementKey())
+	}
+	if back.Timeout != base.Timeout || back.WatchdogInterval != base.WatchdogInterval {
+		t.Errorf("overlay dropped the base's execution shaping: %+v", back)
 	}
 	if _, err := (Spec{Workload: "lzw", ReusePolicy: "bogus"}).Validate(); err == nil {
 		t.Error("bogus reuse policy validated")
@@ -482,9 +495,8 @@ func TestSpecConfigRoundTrip(t *testing.T) {
 
 func TestManagerLogsLifecycle(t *testing.T) {
 	var buf bytes.Buffer
-	logMu := obs.NewLogger(&buf, obs.LevelInfo)
 	m := openManager(t, t.TempDir(), Options{
-		Log: logMu,
+		Log: slog.New(slog.NewTextHandler(&buf, nil)),
 		Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
 			return &repro.Report{}, nil
 		}),

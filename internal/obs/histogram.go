@@ -8,10 +8,9 @@ import (
 
 // Histogram is a fixed-log-bucket duration histogram: observations are
 // counted into a predetermined set of exponentially spaced buckets, so
-// snapshots are deterministic functions of the observations (unlike
-// Timer's sampled percentiles), cheap to take, and mergeable across
-// processes — the property Prometheus histogram series (_bucket/_sum/
-// _count) are built on.
+// snapshots are deterministic functions of the observations, cheap to
+// take, and mergeable across processes — the property Prometheus
+// histogram series (_bucket/_sum/_count) are built on.
 //
 // The bucket boundaries are powers of two from histMinBound (64µs,
 // wide enough to resolve a cache hit) through histMinBound<<histBuckets-1

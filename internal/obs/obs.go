@@ -1,8 +1,10 @@
 // Package obs is the instrumentation substrate for the reproduction
-// pipeline: counters, gauges, timers with percentile summaries, a
-// hierarchical span API for phase timing, a leveled key=value logger,
-// and the RunMetrics document that internal/core assembles after every
-// run and cmd/instrep renders with -metrics.
+// pipeline: counters, gauges, fixed-bucket latency histograms, a
+// hierarchical span API for phase timing and request traces, and the
+// RunMetrics document that internal/core assembles after every run and
+// cmd/instrep renders with -metrics. Log lines go through the standard
+// library's log/slog; Discard is the logger an unset Log field falls
+// back to.
 //
 // The package depends only on the standard library and is safe for
 // concurrent use; every later performance PR is expected to report its
@@ -10,10 +12,17 @@
 package obs
 
 import (
+	"io"
+	"log/slog"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
 )
+
+// Discard is a logger that drops every record before formatting it
+// (slog.DiscardHandler needs go 1.24).
+var Discard = slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.Level(math.MaxInt)}))
 
 // Counter is a monotonically increasing metric. The zero value is
 // ready to use and safe for concurrent increments.
@@ -57,7 +66,6 @@ type Registry struct {
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
-	timers     map[string]*Timer
 	histograms map[string]*Histogram
 	health     HealthCounters
 }
@@ -75,7 +83,6 @@ func (r *Registry) initLocked() {
 	r.counters = make(map[string]*Counter)
 	r.gauges = make(map[string]*Gauge)
 	r.gaugeFuncs = make(map[string]func() int64)
-	r.timers = make(map[string]*Timer)
 	r.histograms = make(map[string]*Histogram)
 }
 
@@ -112,18 +119,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 		r.gauges[name] = g
 	}
 	return g
-}
-
-// Timer returns the named timer, creating it on first use.
-func (r *Registry) Timer(name string) *Timer {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.timers[name]
-	if !ok {
-		t = &Timer{}
-		r.timers[name] = t
-	}
-	return t
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it on
@@ -198,34 +193,10 @@ func (r *Registry) GaugeValues() []NamedValue {
 	return out
 }
 
-// TimerValues returns a name-sorted snapshot of every timer (count,
-// sum, mean, p50/p95, max) — the request-latency section of the report
-// server's /metrics document.
-func (r *Registry) TimerValues() []NamedTimer {
-	r.mu.Lock()
-	timers := make(map[string]*Timer, len(r.timers))
-	for name, t := range r.timers {
-		timers[name] = t
-	}
-	r.mu.Unlock()
-	out := make([]NamedTimer, 0, len(timers))
-	for name, t := range timers {
-		out = append(out, NamedTimer{Name: name, TimerStats: t.Snapshot()})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
 // NamedValue is one registry entry in a snapshot.
 type NamedValue struct {
 	Name  string `json:"name"`
 	Value int64  `json:"value"`
-}
-
-// NamedTimer is one timer entry in a registry snapshot.
-type NamedTimer struct {
-	Name string `json:"name"`
-	TimerStats
 }
 
 // NamedHistogram is one histogram entry in a registry snapshot.

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bytes"
 	"strings"
 	"sync"
 	"testing"
@@ -47,76 +46,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	vals := r.CounterValues()
 	if len(vals) != 2 || vals[0].Name != "a" || vals[0].Value != 1 || vals[1].Name != "b" || vals[1].Value != 2 {
 		t.Errorf("snapshot = %+v", vals)
-	}
-}
-
-func TestTimerPercentiles(t *testing.T) {
-	var tm Timer
-	// 1..100 ms in shuffled-ish order (deterministic permutation).
-	for i := 0; i < 100; i++ {
-		d := time.Duration((i*37)%100+1) * time.Millisecond
-		tm.Observe(d)
-	}
-	s := tm.Snapshot()
-	if s.Count != 100 {
-		t.Fatalf("count = %d, want 100", s.Count)
-	}
-	if want := 5050 * time.Millisecond; s.Sum != want {
-		t.Errorf("sum = %v, want %v", s.Sum, want)
-	}
-	if want := 50500 * time.Microsecond; s.Mean != want {
-		t.Errorf("mean = %v, want %v", s.Mean, want)
-	}
-	if s.P50 != 50*time.Millisecond {
-		t.Errorf("p50 = %v, want 50ms", s.P50)
-	}
-	if s.P95 != 95*time.Millisecond {
-		t.Errorf("p95 = %v, want 95ms", s.P95)
-	}
-	if s.Max != 100*time.Millisecond {
-		t.Errorf("max = %v, want 100ms", s.Max)
-	}
-}
-
-func TestTimerDecimation(t *testing.T) {
-	var tm Timer
-	const n = 3 * maxTimerSamples
-	for i := 0; i < n; i++ {
-		tm.Observe(time.Duration(i+1) * time.Microsecond)
-	}
-	s := tm.Snapshot()
-	if s.Count != n {
-		t.Fatalf("count = %d, want %d", s.Count, n)
-	}
-	if s.Max != n*time.Microsecond {
-		t.Errorf("max = %v, want %v", s.Max, n*time.Microsecond)
-	}
-	// Percentiles stay representative under decimation: p50 of a
-	// uniform ramp should be near the midpoint.
-	mid := float64(n) / 2
-	if got := float64(s.P50.Microseconds()); got < mid*0.8 || got > mid*1.2 {
-		t.Errorf("p50 = %v, want within 20%% of %vus", s.P50, mid)
-	}
-	if len(tm.samples) > maxTimerSamples {
-		t.Errorf("retained %d samples, cap %d", len(tm.samples), maxTimerSamples)
-	}
-}
-
-func TestTimerConcurrent(t *testing.T) {
-	var tm Timer
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				tm.Observe(time.Microsecond)
-			}
-		}()
-	}
-	wg.Wait()
-	if s := tm.Snapshot(); s.Count != 4000 {
-		t.Errorf("count = %d, want 4000", s.Count)
 	}
 }
 
@@ -244,58 +173,14 @@ func TestFormatDuration(t *testing.T) {
 	}
 }
 
-func TestLogger(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewLogger(&buf, LevelInfo)
-	l.now = func() time.Time { return time.Date(2026, 1, 2, 15, 4, 5, 0, time.UTC) }
-	l.Debug("hidden")
-	l.Info("compile done", "bench", "goban", "insts", 42)
-	l.With("phase", "measure").Warn("slow observer", "name", "taint two")
-	out := buf.String()
-	lines := strings.Split(strings.TrimSuffix(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("got %d lines:\n%s", len(lines), out)
-	}
-	if want := "15:04:05.000 INFO  compile done bench=goban insts=42"; lines[0] != want {
-		t.Errorf("line = %q, want %q", lines[0], want)
-	}
-	if !strings.Contains(lines[1], "WARN") || !strings.Contains(lines[1], "phase=measure") ||
-		!strings.Contains(lines[1], `name="taint two"`) {
-		t.Errorf("warn line = %q", lines[1])
-	}
-}
-
-func TestLoggerNil(t *testing.T) {
-	var l *Logger
-	// Must not panic.
-	l.Info("ignored")
-	l.With("k", "v").Error("ignored")
-	if l.Enabled(LevelError) {
-		t.Error("nil logger reports enabled")
-	}
-}
-
-func TestGaugeAndTimerSnapshots(t *testing.T) {
+func TestGaugeSnapshots(t *testing.T) {
 	r := NewRegistry()
 	r.Gauge("inflight").Set(3)
 	r.Gauge("active").Set(1)
-	r.Timer("lat.b").Observe(2 * time.Millisecond)
-	r.Timer("lat.a").Observe(5 * time.Millisecond)
-	r.Timer("lat.a").Observe(7 * time.Millisecond)
 
 	gs := r.GaugeValues()
 	if len(gs) != 2 || gs[0].Name != "active" || gs[0].Value != 1 || gs[1].Name != "inflight" || gs[1].Value != 3 {
 		t.Errorf("gauge snapshot = %+v", gs)
-	}
-	ts := r.TimerValues()
-	if len(ts) != 2 || ts[0].Name != "lat.a" || ts[1].Name != "lat.b" {
-		t.Fatalf("timer snapshot order = %+v", ts)
-	}
-	if ts[0].Count != 2 || ts[1].Count != 1 {
-		t.Errorf("timer counts = %d, %d; want 2, 1", ts[0].Count, ts[1].Count)
-	}
-	if ts[0].Max < 7*time.Millisecond {
-		t.Errorf("lat.a max = %v, want >= 7ms", ts[0].Max)
 	}
 }
 

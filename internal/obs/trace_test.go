@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"strings"
 	"testing"
 	"time"
 )
@@ -156,48 +152,6 @@ func TestContextPropagation(t *testing.T) {
 	free.End()
 	if free.Duration() < 0 {
 		t.Error("negative span duration")
-	}
-}
-
-// TestJSONLogger pins the structured access-log format: one JSON
-// object per line, ts/level/msg first, kv pairs preserved in order,
-// and unmarshalable values degrading to strings instead of dropping
-// the line.
-func TestJSONLogger(t *testing.T) {
-	var buf bytes.Buffer
-	l := NewJSONLogger(&buf, LevelInfo)
-	l.Debug("hidden", "k", "v") // below level: no output
-	l.Info("request", "path", "/v1/report/lzw", "status", 200,
-		"err", errors.New("boom"), "ch", make(chan int), "odd")
-
-	if strings.Contains(buf.String(), "hidden") {
-		t.Fatal("level filter broken in JSON mode")
-	}
-	line := strings.TrimSuffix(buf.String(), "\n")
-	if strings.Contains(line, "\n") {
-		t.Fatalf("JSON log emitted multiple lines: %q", line)
-	}
-	var entry map[string]any
-	if err := json.Unmarshal([]byte(line), &entry); err != nil {
-		t.Fatalf("log line is not valid JSON: %v\n%s", err, line)
-	}
-	if entry["level"] != "INFO" || entry["msg"] != "request" {
-		t.Errorf("header fields wrong: %v", entry)
-	}
-	if _, err := time.Parse(time.RFC3339Nano, entry["ts"].(string)); err != nil {
-		t.Errorf("ts not RFC3339Nano: %v", entry["ts"])
-	}
-	if entry["path"] != "/v1/report/lzw" || entry["status"] != float64(200) {
-		t.Errorf("kv fields wrong: %v", entry)
-	}
-	if entry["err"] != "boom" {
-		t.Errorf("error value = %v, want its message", entry["err"])
-	}
-	if s, ok := entry["ch"].(string); !ok || s == "" {
-		t.Errorf("unmarshalable value should degrade to a string, got %v", entry["ch"])
-	}
-	if entry["!extra"] != "odd" {
-		t.Errorf("odd trailing kv = %v, want under !extra", entry["!extra"])
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"time"
 
-	"repro"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 )
@@ -43,7 +42,6 @@ type JobsConfig struct {
 // manager is attached. Serve drains the manager — journaling in-flight
 // jobs as interrupted — as part of graceful shutdown.
 func (s *Server) OpenJobs(jc JobsConfig) error {
-	runCfg := s.cfg.RunConfig
 	mgr, err := jobs.Open(jobs.Options{
 		Dir:             jc.Dir,
 		Runner:          s.runner,
@@ -53,19 +51,9 @@ func (s *Server) OpenJobs(jc JobsConfig) error {
 		Deadline:        jc.Deadline,
 		Workers:         jc.Workers,
 		Backoff:         jc.Backoff,
+		RunConfig:       s.cfg.RunConfig,
 		Registry:        s.reg,
 		Log:             s.log,
-		// The Spec carries only measurement identity; the serving
-		// process contributes its own execution shaping — the same
-		// fields Runner requests already run under.
-		Shape: func(cfg *repro.Config) {
-			cfg.Timeout = runCfg.Timeout
-			cfg.WatchdogInterval = runCfg.WatchdogInterval
-			cfg.DisableTranslation = runCfg.DisableTranslation
-			cfg.ObserverSampleEvery = runCfg.ObserverSampleEvery
-			cfg.Health = runCfg.Health
-			cfg.Runs = runCfg.Runs
-		},
 	})
 	if err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -17,6 +18,7 @@ import (
 	"repro/internal/checkpoint"
 	"repro/internal/jobs"
 	"repro/internal/minic"
+	"repro/internal/resultcache"
 )
 
 // newJobsServer builds a ready server with the job tier attached.
@@ -201,6 +203,67 @@ func TestShortJobWritesNoSnapshot(t *testing.T) {
 	}
 	if n := store.Stats.Writes.Value(); n != 0 {
 		t.Errorf("store wrote %d snapshots, want 0", n)
+	}
+}
+
+// TestJobReportRecomputeKeepsShaping evicts a done job's report from a
+// one-entry memory cache, so GET /v1/jobs/{id}/report recomputes it.
+// The recompute must run under the server's RunConfig like the job's
+// attempt did: timeout, watchdog, the server's health counters and
+// run registry.
+func TestJobReportRecomputeKeepsShaping(t *testing.T) {
+	var mu sync.Mutex
+	var ran []repro.Config
+	var sims atomic.Int64
+	fake := fakeRun(&sims, 0)
+	cache, err := resultcache.New(1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	runCfg := repro.Config{
+		SkipInstructions:    50,
+		MeasureInstructions: 500,
+		Timeout:             time.Minute,
+		WatchdogInterval:    30 * time.Second,
+	}
+	s, ts := newJobsServer(t, Config{
+		RunConfig: runCfg,
+		Cache:     cache,
+		Run: func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+			mu.Lock()
+			ran = append(ran, cfg)
+			mu.Unlock()
+			return fake(ctx, name, cfg)
+		},
+	}, JobsConfig{})
+
+	code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"workload":"lzw"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d body=%q", code, body)
+	}
+	var doc jobs.Doc
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatal(err)
+	}
+	pollJob(t, ts.URL, doc.ID, jobs.StateDone)
+	if code, _ := get(t, ts.URL+"/v1/report/goban"); code != http.StatusOK {
+		t.Fatalf("evicting request: code=%d", code)
+	}
+	if code, _, body := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc.ID+"/report", ""); code != http.StatusOK {
+		t.Fatalf("job report: code=%d body=%q", code, body)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(ran) != 3 {
+		t.Fatalf("%d runs, want the attempt, the evicting request and the recompute", len(ran))
+	}
+	for i, cfg := range ran {
+		if cfg.Timeout != runCfg.Timeout || cfg.WatchdogInterval != runCfg.WatchdogInterval ||
+			cfg.Health != s.reg.Health() || cfg.Runs != s.runs {
+			t.Errorf("run %d lost the server's shaping: timeout=%v watchdog=%v health=%t runs=%t",
+				i, cfg.Timeout, cfg.WatchdogInterval, cfg.Health == s.reg.Health(), cfg.Runs == s.runs)
+		}
 	}
 }
 

@@ -47,6 +47,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"math"
 	"net"
 	"net/http"
@@ -161,17 +163,31 @@ type Config struct {
 	// are always pinned regardless.
 	SlowTraceThreshold time.Duration
 
-	// Log receives request-level log lines (nil = silent).
-	Log *obs.Logger
+	// Log receives request-level log lines (nil = discarded).
+	Log *slog.Logger
 
 	// AccessLog, when set, receives one structured line per request
 	// (trace ID, method, path, status, outcome, cache tier, queue wait,
-	// latency). The CLI wires a JSON logger here for -access-log.
-	AccessLog *obs.Logger
+	// latency). The CLI wires NewAccessLog here for -access-log.
+	AccessLog *slog.Logger
 
 	// Run overrides the per-workload compute function (nil =
 	// repro.RunWorkload). Injectable for tests.
 	Run func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error)
+}
+
+// NewAccessLog returns the JSON access logger for Config.AccessLog: one
+// object per line, led by the pinned "ts", "level" and "msg" keys
+// (slog's "time" key renamed), then the request fields.
+func NewAccessLog(w io.Writer) *slog.Logger {
+	return slog.New(slog.NewJSONHandler(w, &slog.HandlerOptions{
+		ReplaceAttr: func(groups []string, a slog.Attr) slog.Attr {
+			if len(groups) == 0 && a.Key == slog.TimeKey {
+				a.Key = "ts"
+			}
+			return a
+		},
+	}))
 }
 
 // Server is the report-serving daemon.
@@ -182,8 +198,8 @@ type Server struct {
 	breakers  *overload.BreakerSet
 	names     map[string]bool
 	reg       *obs.Registry // server_* counters, gauges, latency histograms
-	log       *obs.Logger
-	accessLog *obs.Logger
+	log       *slog.Logger
+	accessLog *slog.Logger
 	traces    *obs.TraceStore
 	runs      *repro.RunRegistry
 	slowTrace time.Duration
@@ -231,6 +247,12 @@ func New(cfg Config) *Server {
 	}
 	if cfg.RunConfig.Runs == nil {
 		cfg.RunConfig.Runs = runs
+	}
+	if cfg.Log == nil {
+		cfg.Log = obs.Discard
+	}
+	if cfg.AccessLog == nil {
+		cfg.AccessLog = obs.Discard
 	}
 	s := &Server{
 		cfg:       cfg,
@@ -438,10 +460,8 @@ func (s *Server) instrument(name string, traced bool, h http.HandlerFunc) http.H
 			keep := outcome != "ok" || (s.slowTrace > 0 && d >= s.slowTrace)
 			s.traces.Add(tr, keep)
 		}
-		if s.log != nil {
-			s.log.Debug("request", "path", r.URL.Path, "status", sw.status, "ms", d.Milliseconds())
-		}
-		if s.accessLog != nil {
+		s.log.Debug("request", "path", r.URL.Path, "status", sw.status, "ms", d.Milliseconds())
+		if s.accessLog.Enabled(r.Context(), slog.LevelInfo) {
 			kv := []any{
 				"method", r.Method,
 				"path", r.URL.Path,

@@ -307,16 +307,16 @@ func TestDebugRunsInFlight(t *testing.T) {
 	}
 }
 
-// TestAccessLogJSON pins satellite (b): with an access log configured,
-// every request emits one structured JSON line carrying method, path,
-// status, outcome, latency, and — for traced endpoints — the trace ID
-// and cache tier.
+// TestAccessLogJSON pins the access-log format: with an access log
+// configured, every request emits one structured JSON line led by ts,
+// level and msg and carrying method, path, status, outcome, latency,
+// and — for traced endpoints — the trace ID and cache tier.
 func TestAccessLogJSON(t *testing.T) {
 	var buf syncBuffer
 	var sims atomic.Int64
 	_, ts := newTestServer(t, Config{
 		Run:       fakeRun(&sims, 0),
-		AccessLog: obs.NewJSONLogger(&buf, obs.LevelInfo),
+		AccessLog: NewAccessLog(&buf),
 	})
 
 	resp, err := http.Get(ts.URL + "/v1/report/goban")
@@ -345,6 +345,8 @@ func TestAccessLogJSON(t *testing.T) {
 		t.Fatalf("access log line is not JSON: %v\n%s", err, line)
 	}
 	checks := map[string]any{
+		"level":      "INFO",
+		"msg":        "request",
 		"method":     "GET",
 		"path":       "/v1/report/goban",
 		"status":     float64(http.StatusOK),
@@ -359,6 +361,13 @@ func TestAccessLogJSON(t *testing.T) {
 	}
 	if v, ok := entry["latency_ns"].(float64); !ok || v <= 0 {
 		t.Errorf("access log latency_ns = %v, want > 0", entry["latency_ns"])
+	}
+	stamp, _ := entry["ts"].(string)
+	if _, err := time.Parse(time.RFC3339Nano, stamp); err != nil {
+		t.Errorf("access log ts = %v: %v", entry["ts"], err)
+	}
+	if _, ok := entry["time"]; ok {
+		t.Error("access log carries slog's time key next to ts")
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
@@ -37,23 +35,19 @@ type Engine struct {
 	Run RunFunc
 	// Parallel bounds concurrently running cells (0 = GOMAXPROCS).
 	Parallel int
-	// Shape, when set, adjusts each cell's Config before it runs —
-	// execution-shaping only (Timeout, WatchdogInterval, Progress);
-	// measurement fields are owned by the spec, and mutating them here
-	// would desynchronize the artifact's axis labels from what ran.
-	Shape func(*core.Config)
 	// Metrics receives the sweep_* counters (nil = obs.Default).
 	Metrics *obs.Registry
 	// Progress, when set, receives one notification per finished cell.
 	Progress func(Progress)
 }
 
-// Execute expands the spec and runs every cell. It is fail-soft: cells
-// that error (or return truncated reports) are recorded in the result
-// with their error text and the rest of the grid still runs; the
-// returned error joins every cell failure (nil only when the whole
-// grid succeeded). Only a spec that fails validation returns a nil
-// Result.
+// Execute expands the spec and runs every cell through core.RunBatch.
+// It is fail-soft: cells that error, panic (a *core.PanicError counted
+// in the registry's health set), or return truncated reports are
+// recorded in the result with their error text and the rest of the
+// grid still runs; the returned error joins every cell failure (nil
+// only when the whole grid succeeded). Only a spec that fails
+// validation returns a nil Result.
 func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	cells, err := Expand(sp)
 	if err != nil {
@@ -66,27 +60,19 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	reg.Counter("sweep_sweeps_total").Inc()
 	reg.Counter("sweep_cells_total").Add(uint64(len(cells)))
 
-	parallel := e.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(cells) {
-		parallel = len(cells)
-	}
-
 	results := make([]CellResult, len(cells))
+	reps := make([]*core.Report, len(cells))
 	errs := make([]error, len(cells))
 	var done atomic.Int64
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i := range cells {
-		sem <- struct{}{} // acquire before spawning: at most `parallel` goroutines exist
-		wg.Add(1)
-		go func(c Cell) {
-			defer func() { <-sem; wg.Done() }()
-			rep, err := e.runCell(ctx, c)
-			results[c.Index] = newCellResult(c, rep, err)
-			errs[c.Index] = err
+	core.RunBatch(len(cells), e.Parallel, reg.Health(),
+		func(i int) string { return cells[i].Workload },
+		func(i int) (err error) {
+			reps[i], err = e.runCell(ctx, cells[i])
+			return err
+		},
+		func(i int, err error) {
+			results[i] = newCellResult(cells[i], reps[i], err)
+			errs[i] = err
 			if err != nil {
 				reg.Counter("sweep_cells_failed").Inc()
 			} else {
@@ -94,12 +80,10 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 			}
 			if e.Progress != nil {
 				e.Progress(Progress{
-					Done: int(done.Add(1)), Total: len(cells), Cell: c, Err: err,
+					Done: int(done.Add(1)), Total: len(cells), Cell: cells[i], Err: err,
 				})
 			}
-		}(cells[i])
-	}
-	wg.Wait()
+		})
 
 	res := newResult(sp, results)
 	var failures []error
@@ -120,10 +104,6 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 // without error: its statistics cover an unpredictable prefix of the
 // window, so folding it into the curves would poison the comparison.
 func (e *Engine) runCell(ctx context.Context, c Cell) (*core.Report, error) {
-	cfg := c.Config
-	if e.Shape != nil {
-		e.Shape(&cfg)
-	}
 	span, ctx := obs.StartSpanCtx(ctx, "sweep.cell")
 	span.SetAttr("cell", c.ID())
 	span.SetAttr("workload", c.Workload)
@@ -131,7 +111,7 @@ func (e *Engine) runCell(ctx context.Context, c Cell) (*core.Report, error) {
 	span.SetAttr("assoc", c.Assoc)
 	span.SetAttr("policy", c.Policy.String())
 	defer span.End()
-	rep, err := e.Run(ctx, c.Workload, cfg)
+	rep, err := e.Run(ctx, c.Workload, c.Config)
 	if err == nil && rep == nil {
 		err = fmt.Errorf("sweep: runner returned no report")
 	}

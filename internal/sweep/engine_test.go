@@ -229,19 +229,22 @@ func TestCSVQuoting(t *testing.T) {
 }
 
 func TestShapeCannotChangeMeasurement(t *testing.T) {
-	// Shape adjusts execution fields; the artifact's ConfigKey must
-	// reflect the measurement config that actually ran, so shape-ing a
-	// timeout must not alter it.
+	// A RunFunc that wraps the runner may adjust execution fields (as
+	// instrep sweep sets timeout and watchdog); the artifact's
+	// ConfigKey must reflect the measurement config that actually ran,
+	// so shaping a timeout must not alter it.
 	var keys []string
-	run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+	inner := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
 		keys = append(keys, cfg.MeasurementKey())
 		return fakeRun(ctx, workload, cfg)
 	}
 	e := &Engine{
-		Run:      run,
+		Run: func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+			cfg.Timeout, cfg.Parallel = 1e9, 7
+			return inner(ctx, workload, cfg)
+		},
 		Parallel: 1,
 		Metrics:  obs.NewRegistry(),
-		Shape:    func(c *core.Config) { c.Timeout = 1e9; c.Parallel = 7 },
 	}
 	sp := &Spec{Workloads: []string{"lzw"}, Measure: 10}
 	res, err := e.Execute(context.Background(), sp)
@@ -250,6 +253,44 @@ func TestShapeCannotChangeMeasurement(t *testing.T) {
 	}
 	if len(keys) != 1 || keys[0] != res.Cells[0].ConfigKey {
 		t.Errorf("measurement key drifted: ran %v, artifact %q", keys, res.Cells[0].ConfigKey)
+	}
+}
+
+// TestEnginePanicIsolation runs a grid whose RunFunc panics on one
+// cell: that cell fails alone with a *core.PanicError, counted in the
+// registry's health set, and every other cell completes.
+func TestEnginePanicIsolation(t *testing.T) {
+	run := func(ctx context.Context, workload string, cfg core.Config) (*core.Report, error) {
+		if workload == "odb" && cfg.ReuseEntries == 1024 && cfg.ReuseAssoc == 4 && cfg.ReusePolicy.String() == "fifo" {
+			panic("injected cell panic")
+		}
+		return fakeRun(ctx, workload, cfg)
+	}
+	reg := obs.NewRegistry()
+	var progress atomic.Int64
+	e := &Engine{Run: run, Parallel: 3, Metrics: reg, Progress: func(Progress) { progress.Add(1) }}
+	res, err := e.Execute(context.Background(), testSpec())
+	var pe *core.PanicError
+	if !errors.As(err, &pe) || pe.Benchmark != "odb" {
+		t.Fatalf("err = %v, want odb's *core.PanicError", err)
+	}
+	var failed []CellResult
+	for _, c := range res.Cells {
+		if !c.OK() {
+			failed = append(failed, c)
+		}
+	}
+	if len(failed) != 1 || failed[0].Workload != "odb" || !strings.Contains(failed[0].Error, "injected cell panic") {
+		t.Fatalf("failed cells = %+v, want only the panicking odb cell naming the panic", failed)
+	}
+	if v := reg.Counter("sweep_cells_ok").Value(); v != uint64(len(res.Cells)-1) {
+		t.Errorf("sweep_cells_ok = %d, want %d", v, len(res.Cells)-1)
+	}
+	if v := reg.Health().PanicsRecovered.Value(); v != 1 {
+		t.Errorf("panics_recovered = %d, want 1", v)
+	}
+	if n := progress.Load(); n != int64(len(res.Cells)) {
+		t.Errorf("%d progress events, want one per cell (%d)", n, len(res.Cells))
 	}
 }
 

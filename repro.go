@@ -35,9 +35,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"strings"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/minic"
@@ -213,27 +211,15 @@ func RunAll(ctx context.Context, cfg Config) ([]*Report, error) {
 // runAll is RunAll with the workload set and runner injected (tested
 // with deliberately failing runners).
 func runAll(ctx context.Context, names []string, cfg Config, runOne func(context.Context, string, Config) (*Report, error)) ([]*Report, error) {
-	parallel := cfg.Parallel
-	if parallel <= 0 {
-		parallel = runtime.GOMAXPROCS(0)
-	}
-	if parallel > len(names) {
-		parallel = len(names)
-	}
 	byIndex := make([]*Report, len(names))
 	errs := make([]error, len(names))
-	sem := make(chan struct{}, parallel)
-	var wg sync.WaitGroup
-	for i, name := range names {
-		sem <- struct{}{} // acquire before spawning: at most `parallel` goroutines exist
-		wg.Add(1)
-		go func(i int, name string) {
-			defer func() { <-sem; wg.Done() }()
-			defer recoverToError(healthOf(cfg), name, &byIndex[i], &errs[i])
-			byIndex[i], errs[i] = runOne(ctx, name, cfg)
-		}(i, name)
-	}
-	wg.Wait()
+	core.RunBatch(len(names), cfg.Parallel, healthOf(cfg),
+		func(i int) string { return names[i] },
+		func(i int) (err error) {
+			byIndex[i], err = runOne(ctx, names[i], cfg)
+			return err
+		},
+		func(i int, err error) { errs[i] = err })
 
 	out := make([]*Report, 0, len(names))
 	var failures []error
