@@ -50,11 +50,15 @@ bench:
 # Execution-path equivalence: the machine-level event-stream/state
 # differential (random programs + workload prefixes, all three
 # dispatch paths) and the pipeline-level canonical-report
-# differentials, translated vs interpreted and watchdog armed vs
+# differentials, translated vs interpreted, watchdog armed vs
 # unarmed (armed runs must match the golden corpus and stay
-# translated), under the race detector.
+# translated), and observer helper armed vs held off (fresh, resumed,
+# and giving its CPU up mid-window), under the race detector. The
+# helper's own tests reach its ring, its CPU budget and its panic
+# hand-over from two goroutines, so they repeat ten times.
 differential:
 	go test -race -count=1 -run Differential ./internal/cpu .
+	go test -race -count=10 -run Helper ./internal/core
 
 # One-iteration smoke of the throughput benchmarks (fast enough for
 # the default check gate).

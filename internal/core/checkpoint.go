@@ -105,7 +105,7 @@ const (
 )
 
 // snapshotBody encodes the complete run state: phase bookkeeping,
-// then the machine, then the pipeline. The pipeline is flushed first
+// then the machine, then the pipeline. The pipeline is drained first
 // so no buffered-but-unobserved events exist; flush boundaries don't
 // alter any statistic (every observer sees the same ordered stream),
 // so the extra flush keeps resumed and uninterrupted runs
@@ -164,13 +164,13 @@ func restoreBody(body []byte, ck *ckState) (resumeState, error) {
 	return rs, nil
 }
 
-// snapshotTo writes every pipeline observer after flushing the event
-// batch. Presence flags guard each optional observer so a snapshot
+// snapshotTo writes every pipeline observer after draining the event
+// batches. Presence flags guard each optional observer so a snapshot
 // taken under one analysis config can never restore into another
 // (the checkpoint key should already rule that out; this is the
 // belt to its suspenders).
 func (p *Pipeline) snapshotTo(w *checkpoint.Writer) {
-	p.flush()
+	p.drain()
 	p.Rep.SnapshotTo(w)
 	w.Bool(p.Taint != nil)
 	if p.Taint != nil {

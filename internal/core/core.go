@@ -73,9 +73,10 @@ type Config struct {
 	ObserverSampleEvery int
 
 	// Parallel bounds the worker pool repro.RunAll uses to run
-	// workloads concurrently (0 = GOMAXPROCS). Individual core.Run
-	// calls are single-threaded; this only matters to multi-workload
-	// drivers.
+	// workloads concurrently (0 = GOMAXPROCS); only multi-workload
+	// drivers read it. One core.Run simulates on one goroutine and adds
+	// an observer helper goroutine only while a CPU is unclaimed (see
+	// ClaimCPU), so runs in parallel keep to one CPU each.
 	Parallel int
 
 	// Timeout bounds one workload's wall-clock run time (0 = none).
@@ -172,15 +173,39 @@ type batch struct {
 	calls []cpu.CallEvent
 	rets  []cpu.RetEvent
 	kinds []uint8
+	timed bool // this flush's passes are timed for cost attribution
+}
+
+// newBatch allocates an empty batch at full capacity.
+func newBatch() *batch {
+	return &batch{
+		evs:   make([]cpu.Event, 0, batchSize),
+		vers:  make([]bool, 0, batchSize),
+		calls: make([]cpu.CallEvent, 0, batchSize),
+		rets:  make([]cpu.RetEvent, 0, batchSize),
+		kinds: make([]uint8, 0, batchSize),
+	}
 }
 
 // stage is one named observer pass of the batched pipeline; the name
 // is used for per-observer cost attribution in RunMetrics.
 type stage struct {
-	name string
-	run  func(b *batch)
-	ns   time.Duration // summed pass time (exact, not sampled)
+	name   string
+	run    func(b *batch)
+	helper bool          // runs on the observer helper when one is armed
+	ns     time.Duration // summed pass time (exact, not sampled)
 }
+
+// Where each pass runs when core.Run arms an observer helper
+// (helper.go). The split follows a CPU profile of `instrep run -bench
+// all -parallel 1`: the simulator (about 18% of samples), the census
+// (21%), funcanal (8%) and taint (6%) stay on the run goroutine, about
+// 53% in all; local (18%), reuse (14%), vprofile (9%) and vpred (4%)
+// move to the helper, about 45%.
+const (
+	onRun    = false
+	onHelper = true
+)
 
 // Pipeline dispatches simulator events to the enabled analyses in the
 // order the measurements require: the repetition verdict for each
@@ -196,6 +221,11 @@ type stage struct {
 // batch fills, when the counting window toggles (so every buffered
 // event is observed under the window state it retired in), and at
 // collection.
+//
+// A Pipeline runs its passes on the caller's goroutine. Only core.Run
+// arms the observer helper (helper.go), which takes some passes to a
+// second goroutine; SetCounting, snapshots and Collect then wait until
+// it has observed every batch handed to it.
 type Pipeline struct {
 	Rep   *repetition.Tracker
 	Taint *taint.Analysis
@@ -219,6 +249,15 @@ type Pipeline struct {
 	samples     uint64
 	totalEvs    uint64
 	repNS       time.Duration
+
+	// Observer helper (helper.go): h is set while one is armed.
+	// helperNames lists the stages a helper ran; helperWaits and
+	// helperWait count the hand-offs that found the ring full and how
+	// long they blocked.
+	h           *helper
+	helperNames []string
+	helperWaits uint64
+	helperWait  time.Duration
 }
 
 // SetCounting opens (or closes) the measurement window. While closed,
@@ -227,7 +266,7 @@ type Pipeline struct {
 // statistics accumulate and no instance buffers fill — the paper's
 // skip-then-measure methodology.
 func (p *Pipeline) SetCounting(on bool) {
-	p.flush() // buffered events observe under the window they retired in
+	p.drain() // buffered events observe under the window they retired in
 	p.counting = on
 	if p.Taint != nil {
 		p.Taint.Counting = on
@@ -255,19 +294,15 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	case cfg.ObserverSampleEvery == 0:
 		p.sampleEvery = defaultSampleEvery
 	}
-	p.b.evs = make([]cpu.Event, 0, batchSize)
-	p.b.vers = make([]bool, 0, batchSize)
-	p.b.calls = make([]cpu.CallEvent, 0, batchSize)
-	p.b.rets = make([]cpu.RetEvent, 0, batchSize)
-	p.b.kinds = make([]uint8, 0, batchSize)
-	add := func(name string, run func(*batch)) {
-		p.stages = append(p.stages, stage{name: name, run: run})
+	p.b = *newBatch()
+	add := func(name string, helper bool, run func(*batch)) {
+		p.stages = append(p.stages, stage{name: name, run: run, helper: helper})
 	}
 	if !cfg.DisableTaint {
 		// Dataflow analyses run even while the window is closed (their
 		// Counting flags gate the statistics, not the propagation).
 		p.Taint = taint.New(im)
-		add(p.Taint.Name(), func(b *batch) {
+		add(p.Taint.Name(), onRun, func(b *batch) {
 			for i := range b.evs {
 				p.Taint.Observe(&b.evs[i], b.vers[i])
 			}
@@ -275,7 +310,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	}
 	if !cfg.DisableLocal {
 		p.Local = local.New(im)
-		add(p.Local.Name(), func(b *batch) {
+		add(p.Local.Name(), onHelper, func(b *batch) {
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
@@ -294,7 +329,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	}
 	if !cfg.DisableFunc {
 		p.Funcs = funcanal.New(im)
-		add(p.Funcs.Name(), func(b *batch) {
+		add(p.Funcs.Name(), onRun, func(b *batch) {
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
@@ -313,7 +348,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	}
 	if !cfg.DisableReuse {
 		p.Reuse = reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy)
-		add(p.Reuse.Name(), func(b *batch) {
+		add(p.Reuse.Name(), onHelper, func(b *batch) {
 			if !p.counting {
 				return
 			}
@@ -324,7 +359,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	}
 	if !cfg.DisableVPred {
 		p.VPred = vpred.New(cfg.VPredEntries)
-		add(p.VPred.Name(), func(b *batch) {
+		add(p.VPred.Name(), onHelper, func(b *batch) {
 			if !p.counting {
 				return
 			}
@@ -336,7 +371,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	if !cfg.DisableVProf {
 		p.VProf = vprofile.New()
 		p.VProf.SetTextBounds(program.TextBase, im.StaticInstructions())
-		add(p.VProf.Name(), func(b *batch) {
+		add(p.VProf.Name(), onHelper, func(b *batch) {
 			if !p.counting {
 				return
 			}
@@ -376,17 +411,30 @@ func (p *Pipeline) OnInst(ev *cpu.Event) {
 
 // flush runs every enabled analysis over the buffered batch, in the
 // order the per-event dispatch used: the census pass first (producing
-// the verdict for each instruction), then each stage.
+// the verdict for each instruction), then each stage. With a helper
+// armed it runs the run-goroutine stages and hands the batch, verdicts
+// included, to the helper for the rest; it first raises a panic the
+// helper recovered. Once more CPUs are claimed than GOMAXPROCS it drains
+// the helper, raising a panic from the batches still queued, and gives
+// the helper up.
 func (p *Pipeline) flush() {
 	b := &p.b
 	if len(b.kinds) == 0 {
 		return
 	}
-	timed := p.sampleEvery > 0 && p.flushes%p.sampleEvery == 0
+	if h := p.h; h != nil {
+		if h.overcommitted() {
+			h.drain(b)
+			p.disarm()
+		} else {
+			h.raise(b)
+		}
+	}
+	b.timed = p.sampleEvery > 0 && p.flushes%p.sampleEvery == 0
 	p.flushes++
 	p.totalEvs += uint64(len(b.evs))
 	var now time.Time
-	if timed {
+	if b.timed {
 		p.samples += uint64(len(b.evs))
 		now = time.Now()
 	}
@@ -395,20 +443,37 @@ func (p *Pipeline) flush() {
 			b.vers[i] = p.Rep.Observe(&b.evs[i])
 		}
 	}
-	if timed {
+	if b.timed {
 		t := time.Now()
 		p.repNS += t.Sub(now)
 		now = t
 	}
 	for i := range p.stages {
-		p.stages[i].run(b)
-		if timed {
+		st := &p.stages[i]
+		if st.helper && p.h != nil {
+			continue
+		}
+		st.run(b)
+		if b.timed {
 			t := time.Now()
-			p.stages[i].ns += t.Sub(now)
+			st.ns += t.Sub(now)
 			now = t
 		}
 	}
+	if p.h != nil {
+		p.handoff(b)
+		return
+	}
 	b.reset()
+}
+
+// drain observes every buffered event: it flushes the batch and waits
+// until an armed helper has observed every batch handed to it.
+func (p *Pipeline) drain() {
+	p.flush()
+	if p.h != nil {
+		p.h.drain(&p.b)
+	}
 }
 
 // reset empties the batch for the next flush.
@@ -421,10 +486,12 @@ func (b *batch) reset() {
 }
 
 // panicAt is the stage core.Run appends last to the pipeline for an
-// ObserverPanic fault: it panics with msg when its pass reaches the
-// event with index at. Every other stage has observed the whole batch
-// by then, so the stage empties it first and collecting the partial
-// report does not observe the batch twice.
+// ObserverPanic fault, on the helper's side so that it is the last
+// stage to see each batch on whichever goroutine that is: it panics
+// with msg when its pass reaches the event with index at. Every other
+// stage has observed the whole batch by then, so the stage empties it
+// first and collecting the partial report does not observe the batch
+// twice.
 func panicAt(at uint64, msg string) func(*batch) {
 	return func(b *batch) {
 		for i := range b.evs {
@@ -438,7 +505,8 @@ func panicAt(at uint64, msg string) func(*batch) {
 
 // ObserverCosts reports the per-observer pass times, extrapolated
 // from the timed flushes over the whole event stream (EstimatedNS =
-// SampledNS scaled by totalEvents/sampledEvents).
+// SampledNS scaled by totalEvents/sampledEvents). With a helper armed,
+// read it only after a drain (SetCounting or Collect).
 func (p *Pipeline) ObserverCosts() []obs.ObserverCost {
 	if p.samples == 0 {
 		return nil
@@ -594,7 +662,7 @@ type Report struct {
 
 // Collect gathers the report after a run.
 func (p *Pipeline) Collect(im *program.Image, name string) *Report {
-	p.flush() // observe any tail shorter than a full batch
+	p.drain() // observe any tail shorter than a full batch
 	r := &Report{
 		Benchmark:   name,
 		Fig1Targets: CoverageTargets,
@@ -767,6 +835,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		// otherwise measure LRU under a key claiming something else.
 		return nil, fmt.Errorf("core: invalid reuse replacement policy %v", cfg.ReusePolicy)
 	}
+	defer ClaimCPU()()
 	root := cfg.Span
 	if root == nil {
 		root = obs.StartSpan("run")
@@ -794,7 +863,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		m.NoTranslate = cfg.DisableTranslation
 		p := NewPipeline(im, cfg)
 		if at, msg, ok := cfg.Faults.ObserverPanic(name); ok {
-			p.stages = append(p.stages, stage{name: "faultinject", run: panicAt(at, msg)})
+			p.stages = append(p.stages, stage{name: "faultinject", run: panicAt(at, msg), helper: onHelper})
 		}
 		m.Attach(p)
 		return m, p
@@ -840,6 +909,9 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 			}
 		}
 	}
+	// Arm the helper only now: a failed restore rebuilds the pipeline.
+	p.armHelper()
+	defer p.disarm()
 	st := newRunState(name)
 	if resume != nil {
 		st.publish(m.Count, m.PC)
@@ -867,6 +939,10 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	// truncated run the collected statistics cover the instructions
 	// measured so far and the report travels alongside the error.
 	finish := func(runErr error) *Report {
+		// The window's last events are observed inside the span that
+		// times the window, and a panic the helper recovered is raised
+		// before the collect span starts.
+		p.drain()
 		if measure != nil {
 			measure.End()
 		}
@@ -992,6 +1068,9 @@ func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measur
 		FallbackSteps:       m.Trans.FallbackSteps,
 		ObserverSampleEvery: p.sampleEvery,
 		Observers:           p.ObserverCosts(),
+		ObserverHelper:      p.helperNames,
+		HelperWaits:         p.helperWaits,
+		HelperWaitNS:        p.helperWait.Nanoseconds(),
 		Sim: obs.SimCounters{
 			Retired:       m.Count,
 			Loads:         m.Stats.Loads,

@@ -72,8 +72,13 @@ func (e *PanicError) Error() string {
 
 // NewPanicError wraps a recovered panic value. It must be called from
 // inside the deferred function that recovered, so the captured stack
-// still includes the panic site.
+// still includes the panic site. A panic an observer helper pass raised
+// and the run goroutine re-raised keeps the value and the stack the
+// helper captured at its panic site.
 func NewPanicError(benchmark string, v any) *PanicError {
+	if hp, ok := v.(*helperPanic); ok {
+		return &PanicError{Benchmark: benchmark, Value: hp.value, Stack: hp.stack}
+	}
 	return &PanicError{Benchmark: benchmark, Value: v, Stack: debug.Stack()}
 }
 

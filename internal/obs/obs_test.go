@@ -124,6 +124,9 @@ func TestRunMetricsGolden(t *testing.T) {
 		ExecPath:            ExecTranslated,
 		BlocksTranslated:    1_234,
 		FallbackSteps:       2,
+		ObserverHelper:      []string{"local", "reuse"},
+		HelperWaits:         3,
+		HelperWaitNS:        1_500_000,
 		ObserverSampleEvery: 64,
 		Observers: []ObserverCost{
 			{Name: "repetition", Samples: 78125, SampledNS: 6_250_000, EstimatedNS: 400_000_000, SharePct: 40},
@@ -141,6 +144,7 @@ func TestRunMetricsGolden(t *testing.T) {
 		"  instructions retired   5,000,000",
 		"  retire rate            4.17 MIPS",
 		"  exec path              translated (1,234 blocks translated, 2 fallback steps)",
+		"  observer helper        local, reuse (3 waits, 1.5ms)",
 		"  loads                  1,000,000",
 		"  stores                 250,000",
 		"  branches               800,000 (600,000 taken)",
@@ -153,6 +157,11 @@ func TestRunMetricsGolden(t *testing.T) {
 	}, "\n")
 	if got := m.FormatText(); got != want {
 		t.Errorf("FormatText mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+	m.ObserverHelper, m.HelperWaits, m.HelperWaitNS = nil, 0, 0
+	inline := "  observer helper        none (all passes inline)\n"
+	if got := m.FormatText(); !strings.Contains(got, inline) {
+		t.Errorf("inline run renders without %q:\n%s", inline, got)
 	}
 }
 

@@ -43,6 +43,16 @@ type RunMetrics struct {
 	// to the Step interpreter because no block existed at the PC.
 	FallbackSteps uint64 `json:"fallback_steps"`
 
+	// ObserverHelper names the observer passes a helper goroutine ran
+	// for all or part of the run (empty when every pass ran inline on
+	// the run goroutine).
+	ObserverHelper []string `json:"observer_helper,omitempty"`
+	// HelperWaits is how many batch hand-offs found the helper a whole
+	// ring behind, and HelperWaitNS how long the run goroutine blocked
+	// on them.
+	HelperWaits  uint64 `json:"helper_waits"`
+	HelperWaitNS int64  `json:"helper_wait_ns"`
+
 	// ObserverSampleEvery is the attribution sampling period: one in
 	// every N instructions is individually timed per observer.
 	ObserverSampleEvery uint64 `json:"observer_sample_every,omitempty"`
@@ -151,6 +161,13 @@ func (m *RunMetrics) FormatText() string {
 	if m.ExecPath != "" {
 		kv("exec path", fmt.Sprintf("%s (%s blocks translated, %s fallback steps)",
 			m.ExecPath, groupCount(m.BlocksTranslated), groupCount(m.FallbackSteps)))
+		if len(m.ObserverHelper) > 0 {
+			kv("observer helper", fmt.Sprintf("%s (%s waits, %s)",
+				strings.Join(m.ObserverHelper, ", "), groupCount(m.HelperWaits),
+				FormatDuration(time.Duration(m.HelperWaitNS))))
+		} else {
+			kv("observer helper", "none (all passes inline)")
+		}
 	}
 	kv("loads", groupCount(m.Sim.Loads))
 	kv("stores", groupCount(m.Sim.Stores))

@@ -61,6 +61,7 @@ import (
 
 	"repro"
 	"repro/internal/checkpoint"
+	"repro/internal/core"
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/overload"
@@ -358,6 +359,9 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 
 // Serve is ListenAndServe on an existing listener.
 func (s *Server) Serve(ctx context.Context, l net.Listener) error {
+	// Request handling keeps a CPU busy while the server serves, so a
+	// simulation here never takes a spare CPU for its observer helper.
+	defer core.ClaimCPU()()
 	srv := &http.Server{
 		Handler:           s.Handler(),
 		ReadHeaderTimeout: 5 * time.Second,

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/resultcache"
 )
 
@@ -383,6 +384,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cpus := core.ClaimedCPUs()
 	ctx, cancel := context.WithCancel(context.Background())
 	served := make(chan error, 1)
 	go func() { served <- s.Serve(ctx, l) }()
@@ -392,6 +394,11 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("healthz before shutdown: %d", code)
 	}
+	// Request handling holds one CPU, so no simulation takes it for an
+	// observer helper, until Serve returns.
+	if n := core.ClaimedCPUs(); n != cpus+1 {
+		t.Errorf("%d CPUs claimed while serving, want %d", n, cpus+1)
+	}
 	cancel()
 	select {
 	case err := <-served:
@@ -400,6 +407,9 @@ func TestServeGracefulShutdown(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("Serve did not return after context cancel")
+	}
+	if n := core.ClaimedCPUs(); n != cpus {
+		t.Errorf("%d CPUs claimed after Serve returned, want %d", n, cpus)
 	}
 	if _, err := http.Get(url + "/healthz"); err == nil {
 		t.Fatal("listener should be closed after shutdown")

@@ -43,7 +43,18 @@ func fetchTrace(t *testing.T, base, id string) obs.TraceDoc {
 // warm request's trace records the memory-tier hit with no simulation.
 func TestTraceColdMissRoundTrip(t *testing.T) {
 	var sims atomic.Int64
-	_, ts := newTestServer(t, Config{Run: fakeRun(&sims, 0)})
+	run := fakeRun(&sims, 0)
+	_, ts := newTestServer(t, Config{Run: func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		r, err := run(ctx, name, cfg)
+		r.Metrics = &obs.RunMetrics{
+			Sim:              obs.SimCounters{Retired: 600_000},
+			ExecPath:         obs.ExecTranslated,
+			BlocksTranslated: 42,
+			FallbackSteps:    1,
+			ObserverHelper:   []string{"local", "reuse"},
+		}
+		return r, err
+	}})
 
 	resp, err := http.Get(ts.URL + "/v1/report/goban")
 	if err != nil {
@@ -79,6 +90,15 @@ func TestTraceColdMissRoundTrip(t *testing.T) {
 	sim := root.Find("sim")
 	if sim == nil || sim.Attrs["workload"] != "goban" {
 		t.Fatalf("sim span missing or unlabeled: %+v", sim)
+	}
+	// The sim span says which execution and observer paths ran.
+	for k, want := range map[string]any{
+		"retired": 600_000.0, "exec_path": "translated", "blocks_translated": 42.0,
+		"fallback_steps": 1.0, "observer_helper": "local,reuse",
+	} {
+		if got := sim.Attrs[k]; got != want {
+			t.Errorf("sim span %s = %v, want %v", k, got, want)
+		}
 	}
 	if root.Find("cache.write") == nil {
 		t.Fatal("cold trace missing cache.write span")

@@ -8,6 +8,7 @@ package repro
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -125,7 +126,12 @@ func (rn *Runner) admitted(run func(context.Context, string, Config) (*Report, e
 		rep, err := run(ctx, name, cfg)
 		sim.End()
 		if rep != nil && rep.Metrics != nil {
-			sim.SetAttr("retired", rep.Metrics.Sim.Retired)
+			m := rep.Metrics
+			sim.SetAttr("retired", m.Sim.Retired)
+			sim.SetAttr("exec_path", m.ExecPath)
+			sim.SetAttr("blocks_translated", m.BlocksTranslated)
+			sim.SetAttr("fallback_steps", m.FallbackSteps)
+			sim.SetAttr("observer_helper", strings.Join(m.ObserverHelper, ","))
 		}
 		if rn != nil && rn.Breakers != nil {
 			rn.Breakers.Record(name, err)
