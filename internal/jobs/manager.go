@@ -356,10 +356,11 @@ func (m *Manager) Cancel(id string) (Doc, error) {
 }
 
 // ReportJSON returns the canonical report bytes for a done job. The
-// report is recomputed through the Runner under the job's attempt
-// configuration — normally a pure cache hit; if the cache entry was
-// evicted the deterministic simulator rebuilds byte-identical output
-// (resuming from any surviving checkpoint).
+// bytes come from the Runner's ReportJSON under the job's attempt
+// configuration — normally a pure cache hit, served as the cache's own
+// read-only slice; if the cache entry was evicted the deterministic
+// simulator rebuilds byte-identical output (resuming from any
+// surviving checkpoint).
 func (m *Manager) ReportJSON(ctx context.Context, id string) ([]byte, error) {
 	m.mu.Lock()
 	j, ok := m.jobs[id]
@@ -377,11 +378,7 @@ func (m *Manager) ReportJSON(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	rep, err := m.opts.Runner.RunWorkload(ctx, spec.Workload, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return repro.CanonicalReportJSON(rep)
+	return m.opts.Runner.ReportJSON(ctx, spec.Workload, cfg)
 }
 
 // StatValues snapshots every manager counter plus the live queue

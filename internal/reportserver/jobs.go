@@ -143,8 +143,7 @@ func (s *Server) handleJobReport(w http.ResponseWriter, r *http.Request) {
 			s.fail(w, r, err, http.StatusInternalServerError)
 			return
 		}
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(data)
+		writeBytes(w, data)
 	case jobs.StateFailed:
 		s.fail(w, r, fmt.Errorf("job failed: %s", doc.Error), http.StatusInternalServerError)
 	case jobs.StateCanceled:

@@ -607,17 +607,11 @@ func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
 }
 
 // rememberGood retains a complete report's canonical bytes as the
-// workload's stale fallback. Truncated partials never qualify.
-func (s *Server) rememberGood(rep *repro.Report) {
-	if rep == nil || rep.Truncated {
-		return
-	}
-	data, err := repro.CanonicalReportJSON(rep)
-	if err != nil {
-		return
-	}
+// workload's stale fallback. The slice may be the cache's own; the
+// stale store only ever reads it.
+func (s *Server) rememberGood(name string, data []byte) {
 	s.staleMu.Lock()
-	s.lastGood[rep.Benchmark] = data
+	s.lastGood[name] = data
 	s.staleMu.Unlock()
 }
 
@@ -644,10 +638,18 @@ func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, name string,
 	if s.log != nil {
 		s.log.Warn("serving stale", "workload", name, "cause", cause)
 	}
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Instrep-Stale", "true")
-	w.Write(data)
+	writeBytes(w, data)
 	return true
+}
+
+// writeBytes sends canonical report bytes with their Content-Length,
+// so a 4–7 KB report goes out in one piece rather than chunked.
+func writeBytes(w http.ResponseWriter, data []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
 }
 
 // reports resolves the {workload} path element ("all" or one name)
@@ -657,7 +659,7 @@ func (s *Server) reports(r *http.Request) ([]*repro.Report, error) {
 	if name == "all" {
 		reports, err := s.runner.RunAll(r.Context(), s.cfg.RunConfig)
 		for _, rep := range reports {
-			s.rememberGood(rep)
+			s.rememberReport(rep)
 		}
 		return reports, err
 	}
@@ -669,8 +671,20 @@ func (s *Server) reports(r *http.Request) ([]*repro.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.rememberGood(rep)
+	s.rememberReport(rep)
 	return []*repro.Report{rep}, nil
+}
+
+// rememberReport is rememberGood for the table path, which holds
+// reports rather than bytes: a complete report is encoded for the
+// stale store; truncated partials never qualify.
+func (s *Server) rememberReport(rep *repro.Report) {
+	if rep == nil || rep.Truncated {
+		return
+	}
+	if data, err := repro.CanonicalReportJSON(rep); err == nil {
+		s.rememberGood(rep.Benchmark, data)
+	}
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -680,7 +694,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			name, strings.Join(repro.Workloads(), ", ")), http.StatusNotFound)
 		return
 	}
-	rep, err := s.runner.RunWorkload(r.Context(), name, s.cfg.RunConfig)
+	// The canonical bytes: byte-identical whether this request
+	// simulated or hit the cache (pinned by the golden corpus test),
+	// and on a hit the cache's own slice, neither decoded nor encoded.
+	data, err := s.runner.ReportJSON(r.Context(), name, s.cfg.RunConfig)
 	if err != nil {
 		// Degradation ladder: a shed, breaker-rejected, or failed
 		// request is answered with the last known-good report when
@@ -691,16 +708,8 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, r, err, http.StatusInternalServerError)
 		return
 	}
-	// Serve the canonical form: byte-identical whether this request
-	// simulated or hit the cache (pinned by the golden corpus test).
-	data, err := repro.CanonicalReportJSON(rep)
-	if err != nil {
-		s.fail(w, r, err, http.StatusInternalServerError)
-		return
-	}
-	s.rememberGood(rep)
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(data)
+	s.rememberGood(name, data)
+	writeBytes(w, data)
 }
 
 func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {

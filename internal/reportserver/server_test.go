@@ -417,24 +417,64 @@ func TestServeGracefulShutdown(t *testing.T) {
 }
 
 // TestServedReportMatchesGoldenCorpus is the end-to-end acceptance
-// check with the real simulator: the cache-enabled serve path returns
-// byte-identical report JSON to a direct RunWorkload, both pinned by
-// the golden corpus.
+// check with the real simulator: every workload served through the
+// cache — cold, from the disk tier, and from the memory tier — is
+// byte-identical to a direct RunWorkload, all pinned by the golden
+// corpus, and goes out with its Content-Length rather than chunked.
 func TestServedReportMatchesGoldenCorpus(t *testing.T) {
 	cfg := repro.QuickConfig()
-	_, ts := newTestServer(t, Config{RunConfig: cfg})
+	// One memory slot over a disk tier: after the cold pass only the
+	// last workload is in memory, so the second pass alternates a disk
+	// hit (which promotes the entry) with a memory hit.
+	cache, err := resultcache.New(1, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{RunConfig: cfg, Cache: cache})
 
-	// Twice: once simulating (cold), once from the cache.
-	code, cold := get(t, ts.URL+"/v1/report/lzw")
-	if code != http.StatusOK {
-		t.Fatalf("cold request: %d", code)
+	names := repro.Workloads()
+	golden := map[string][]byte{}
+	for _, name := range names {
+		data, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".json"))
+		if err != nil {
+			t.Fatalf("golden corpus missing: %v", err)
+		}
+		golden[name] = data
 	}
-	code, warm := get(t, ts.URL+"/v1/report/lzw")
-	if code != http.StatusOK {
-		t.Fatalf("warm request: %d", code)
+	check := func(name, tier string) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/report/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case resp.StatusCode != http.StatusOK:
+			t.Fatalf("%s %s request: status %d", tier, name, resp.StatusCode)
+		case resp.Header.Get("X-Instrep-Stale") != "":
+			t.Fatalf("%s %s request: served stale", tier, name)
+		case !bytes.Equal(body, golden[name]):
+			t.Fatalf("%s %s request: served report differs from the golden corpus", tier, name)
+		case resp.ContentLength != int64(len(golden[name])) || len(resp.TransferEncoding) != 0:
+			t.Fatalf("%s %s request: ContentLength %d, TransferEncoding %v; want %d, none",
+				tier, name, resp.ContentLength, resp.TransferEncoding, len(golden[name]))
+		}
 	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatal("cold and warm responses differ")
+	for _, name := range names {
+		check(name, "cold")
+	}
+	for _, name := range names {
+		check(name, "disk")
+		check(name, "memory")
+	}
+	n := uint64(len(names))
+	if cache.Stats.Misses.Value() != n || cache.Stats.DiskHits.Value() != n || cache.Stats.Hits.Value() != n {
+		t.Fatalf("misses=%d disk hits=%d memory hits=%d, want %d each",
+			cache.Stats.Misses.Value(), cache.Stats.DiskHits.Value(), cache.Stats.Hits.Value(), n)
 	}
 
 	direct, err := repro.RunWorkload(context.Background(), "lzw", cfg)
@@ -445,16 +485,8 @@ func TestServedReportMatchesGoldenCorpus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(cold, want) {
-		t.Fatal("served report differs from direct RunWorkload")
-	}
-
-	golden, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", "lzw.json"))
-	if err != nil {
-		t.Fatalf("golden corpus missing: %v", err)
-	}
-	if !bytes.Equal(cold, golden) {
-		t.Fatal("served report differs from the golden corpus")
+	if !bytes.Equal(want, golden["lzw"]) {
+		t.Fatal("direct RunWorkload differs from the golden corpus")
 	}
 }
 

@@ -75,11 +75,13 @@ type cacheEntry struct {
 }
 
 // call is one in-flight computation; followers block on done and then
-// read rep/err. rep is shared between the leader and all followers, so
-// cached reports must be treated as read-only by callers.
+// read rep, data and err. The report and the bytes are shared between
+// the leader and all followers, so callers must treat both as
+// read-only.
 type call struct {
 	done chan struct{}
 	rep  *core.Report
+	data []byte
 	err  error
 }
 
@@ -136,6 +138,37 @@ func (c *Cache) Len() int {
 // still live retry (leading to a fresh computation) instead of
 // inheriting the foreign cancellation.
 func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) (*core.Report, error) {
+	rep, data, err := c.lookup(ctx, key, compute)
+	if rep == nil && data != nil { // a hit: only the bytes are at hand
+		return decodeReport(data)
+	}
+	return rep, err
+}
+
+// GetOrComputeJSON is GetOrCompute for callers that serve the
+// canonical JSON (core.CanonicalJSON) rather than read the report: a
+// hit returns the stored bytes without decoding them, a stored miss
+// returns the bytes it just stored, and only a report the cache did
+// not store (truncated or unserializable) is encoded here. Lookups,
+// counters and trace attributes are exactly GetOrCompute's.
+//
+// The returned slice is the cache's own, shared with its memory tier
+// and with concurrent callers: callers must not modify or append to
+// it.
+func (c *Cache) GetOrComputeJSON(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) ([]byte, error) {
+	rep, data, err := c.lookup(ctx, key, compute)
+	if data == nil && rep != nil && err == nil { // an uncacheable miss
+		return core.CanonicalJSON(rep)
+	}
+	return data, err
+}
+
+// lookup is the singleflight lookup behind GetOrCompute and
+// GetOrComputeJSON. It returns the report when compute ran for this
+// call (or for the leader it waited on), and the canonical bytes when
+// the cache holds them: a hit returns only the bytes, a stored miss
+// both, an uncacheable miss only the report.
+func (c *Cache) lookup(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) (*core.Report, []byte, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -145,42 +178,51 @@ func (c *Cache) GetOrCompute(ctx context.Context, key string, compute func(conte
 			c.mu.Unlock()
 			c.Stats.Hits.Inc()
 			obs.SpanFrom(ctx).SetAttr("cache_tier", "memory")
-			return decodeReport(data)
+			return nil, data, nil
 		}
 		if cl, ok := c.flight[key]; ok {
 			c.mu.Unlock()
 			c.Stats.DedupWaits.Inc()
 			obs.SpanFrom(ctx).SetAttr("cache_tier", "dedup")
-			rep, err, retry := c.wait(ctx, cl)
-			if retry {
+			select {
+			case <-ctx.Done():
+				return nil, nil, context.Cause(ctx)
+			case <-cl.done:
+			}
+			if cl.err == nil {
+				return cl.rep, cl.data, nil
+			}
+			if ctx.Err() == nil &&
+				(errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)) {
+				// The leader was canceled by its own context while ours
+				// is still live: restart the lookup.
 				continue
 			}
-			return rep, err
+			return nil, nil, cl.err
 		}
 		cl := &call{done: make(chan struct{})}
 		c.flight[key] = cl
 		c.mu.Unlock()
 
-		rep, err := c.lead(ctx, key, compute)
-		cl.rep, cl.err = rep, err
+		cl.rep, cl.data, cl.err = c.lead(ctx, key, compute)
 		c.mu.Lock()
 		delete(c.flight, key)
 		c.mu.Unlock()
 		close(cl.done)
-		return rep, err
+		return cl.rep, cl.data, cl.err
 	}
 }
 
 // lead performs the slow path on behalf of every request for key: a
-// disk probe first, then the actual computation.
-func (c *Cache) lead(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) (*core.Report, error) {
+// disk probe first, then the actual computation. A disk hit returns
+// the bytes diskGet just validated; a computed report is encoded once,
+// to store, and returned with those bytes.
+func (c *Cache) lead(ctx context.Context, key string, compute func(context.Context) (*core.Report, error)) (*core.Report, []byte, error) {
 	if data, ok := c.diskGet(key); ok {
-		if rep, err := decodeReport(data); err == nil {
-			c.Stats.DiskHits.Inc()
-			obs.SpanFrom(ctx).SetAttr("cache_tier", "disk")
-			c.putMem(key, data)
-			return rep, nil
-		}
+		c.Stats.DiskHits.Inc()
+		obs.SpanFrom(ctx).SetAttr("cache_tier", "disk")
+		c.putMem(key, data)
+		return nil, data, nil
 	}
 	c.Stats.Misses.Inc()
 	obs.SpanFrom(ctx).SetAttr("cache_tier", "miss")
@@ -188,43 +230,24 @@ func (c *Cache) lead(ctx context.Context, key string, compute func(context.Conte
 	rep, err := compute(ctx)
 	c.Stats.InflightRuns.Add(-1)
 	if err != nil || rep == nil {
-		return rep, err
+		return rep, nil, err
 	}
 	if rep.Truncated {
 		c.Stats.Uncacheable.Inc()
-		return rep, nil
+		return rep, nil, nil
 	}
 	data, merr := core.CanonicalJSON(rep)
 	if merr != nil {
 		// Unserializable reports are served but not stored.
 		c.Stats.Uncacheable.Inc()
-		return rep, nil
+		return rep, nil, nil
 	}
 	write, _ := obs.StartSpanCtx(ctx, "cache.write")
 	c.putMem(key, data)
 	c.diskPut(key, data)
 	write.End()
 	c.Stats.Stores.Inc()
-	return rep, nil
-}
-
-// wait blocks until the in-flight call finishes or ctx ends. retry is
-// true when the leader was canceled by its own context while ours is
-// still live: the caller should restart the lookup.
-func (c *Cache) wait(ctx context.Context, cl *call) (rep *core.Report, err error, retry bool) {
-	select {
-	case <-ctx.Done():
-		return nil, context.Cause(ctx), false
-	case <-cl.done:
-	}
-	if cl.err != nil {
-		if ctx.Err() == nil &&
-			(errors.Is(cl.err, context.Canceled) || errors.Is(cl.err, context.DeadlineExceeded)) {
-			return nil, nil, true
-		}
-		return nil, cl.err, false
-	}
-	return cl.rep, nil, false
+	return rep, data, nil
 }
 
 // getMemLocked returns the memory-tier entry and marks it recently

@@ -1,17 +1,20 @@
 package resultcache
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/obs"
 )
 
 // fakeReport builds a small but non-trivial complete report.
@@ -41,27 +44,87 @@ func mustCache(t *testing.T, entries int, dir string) *Cache {
 	return c
 }
 
+// computeFunc is a cache compute step.
+type computeFunc = func(context.Context) (*core.Report, error)
+
+// getFunc is one of the cache's two lookups, adapted to return the
+// canonical JSON of the report it yields.
+type getFunc func(c *Cache, ctx context.Context, key string, compute computeFunc) ([]byte, error)
+
+// lookups are GetOrCompute, whose report is encoded here, and
+// GetOrComputeJSON, which returns the bytes itself.
+var lookups = []struct {
+	name string
+	get  getFunc
+}{
+	{"GetOrCompute", func(c *Cache, ctx context.Context, key string, compute computeFunc) ([]byte, error) {
+		rep, err := c.GetOrCompute(ctx, key, compute)
+		if err != nil {
+			return nil, err
+		}
+		return core.CanonicalJSON(rep)
+	}},
+	{"GetOrComputeJSON", (*Cache).GetOrComputeJSON},
+}
+
+// forEachLookup runs body once per lookup and checks that the two runs
+// leave identical counters on the cache body returns.
+func forEachLookup(t *testing.T, body func(t *testing.T, get getFunc) *Cache) {
+	var stats [][]obs.NamedValue
+	for _, lk := range lookups {
+		t.Run(lk.name, func(t *testing.T) {
+			stats = append(stats, body(t, lk.get).StatValues())
+		})
+	}
+	if len(stats) == len(lookups) && !reflect.DeepEqual(stats[0], stats[1]) {
+		t.Errorf("counters differ between lookups:\n%s: %v\n%s: %v",
+			lookups[0].name, stats[0], lookups[1].name, stats[1])
+	}
+}
+
+// canonical is core.CanonicalJSON of r.
+func canonical(t *testing.T, r *core.Report) []byte {
+	t.Helper()
+	data, err := core.CanonicalJSON(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// checkLookup performs one lookup under a fresh trace and checks the
+// bytes against want and the cache_tier attribute the lookup set on
+// the trace's root span against tier.
+func checkLookup(t *testing.T, get getFunc, c *Cache, key string, compute computeFunc, want []byte, tier string) {
+	t.Helper()
+	tr := obs.NewTrace("test")
+	got, err := get(c, obs.WithTrace(context.Background(), tr), key, compute)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s lookup: bytes differ from the computed report's canonical JSON", tier)
+	}
+	if got := tr.Root().Attr("cache_tier"); got != tier {
+		t.Fatalf("cache_tier = %v, want %s", got, tier)
+	}
+}
+
 func TestMemoryHitMiss(t *testing.T) {
-	c := mustCache(t, 0, "")
-	var computes atomic.Int64
-	ctx := context.Background()
-	r1, err := c.GetOrCompute(ctx, "k1", countingCompute("w", &computes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.GetOrCompute(ctx, "k1", countingCompute("w", &computes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 1 {
-		t.Fatalf("want 1 compute, got %d", computes.Load())
-	}
-	if r1.Benchmark != "w" || r2.Benchmark != "w" || r2.DynTotal != r1.DynTotal {
-		t.Fatalf("cached report differs: %+v vs %+v", r1, r2)
-	}
-	if h, m := c.Stats.Hits.Value(), c.Stats.Misses.Value(); h != 1 || m != 1 {
-		t.Fatalf("want hits=1 misses=1, got hits=%d misses=%d", h, m)
-	}
+	want := canonical(t, fakeReport("w", 1000))
+	forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
+		c := mustCache(t, 0, "")
+		var computes atomic.Int64
+		checkLookup(t, get, c, "k1", countingCompute("w", &computes), want, "miss")
+		checkLookup(t, get, c, "k1", countingCompute("w", &computes), want, "memory")
+		if computes.Load() != 1 {
+			t.Fatalf("want 1 compute, got %d", computes.Load())
+		}
+		if h, m := c.Stats.Hits.Value(), c.Stats.Misses.Value(); h != 1 || m != 1 {
+			t.Fatalf("want hits=1 misses=1, got hits=%d misses=%d", h, m)
+		}
+		return c
+	})
 }
 
 func TestLRUEviction(t *testing.T) {
@@ -96,46 +159,38 @@ func TestLRUEviction(t *testing.T) {
 }
 
 func TestDiskTierPersistsAcrossInstances(t *testing.T) {
-	dir := t.TempDir()
-	var computes atomic.Int64
-	ctx := context.Background()
+	want := canonical(t, fakeReport("w", 1000))
+	forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
+		dir := t.TempDir()
+		var computes atomic.Int64
+		c1 := mustCache(t, 0, dir)
+		checkLookup(t, get, c1, "k", countingCompute("w", &computes), want, "miss")
+		if _, err := os.Stat(c1.diskPath("k")); err != nil {
+			t.Fatalf("disk entry missing after store: %v", err)
+		}
 
-	c1 := mustCache(t, 0, dir)
-	if _, err := c1.GetOrCompute(ctx, "k", countingCompute("w", &computes)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(c1.diskPath("k")); err != nil {
-		t.Fatalf("disk entry missing after store: %v", err)
-	}
-
-	// A fresh cache (cold memory tier) over the same directory serves
-	// from disk without recomputing.
-	c2 := mustCache(t, 0, dir)
-	r, err := c2.GetOrCompute(ctx, "k", countingCompute("w", &computes))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 1 {
-		t.Fatalf("disk hit should not recompute: %d computes", computes.Load())
-	}
-	if c2.Stats.DiskHits.Value() != 1 {
-		t.Fatalf("want 1 disk hit, got %d", c2.Stats.DiskHits.Value())
-	}
-	if r.Benchmark != "w" {
-		t.Fatalf("disk-served report corrupted: %+v", r)
-	}
-	// And the entry is now promoted to memory.
-	if _, err := c2.GetOrCompute(ctx, "k", countingCompute("w", &computes)); err != nil {
-		t.Fatal(err)
-	}
-	if c2.Stats.Hits.Value() != 1 {
-		t.Fatalf("promoted entry should hit memory, hits=%d", c2.Stats.Hits.Value())
-	}
+		// A fresh cache (cold memory tier) over the same directory
+		// serves from disk without recomputing.
+		c2 := mustCache(t, 0, dir)
+		checkLookup(t, get, c2, "k", countingCompute("w", &computes), want, "disk")
+		if computes.Load() != 1 {
+			t.Fatalf("disk hit should not recompute: %d computes", computes.Load())
+		}
+		if c2.Stats.DiskHits.Value() != 1 {
+			t.Fatalf("want 1 disk hit, got %d", c2.Stats.DiskHits.Value())
+		}
+		// And the entry is now promoted to memory.
+		checkLookup(t, get, c2, "k", countingCompute("w", &computes), want, "memory")
+		if c2.Stats.Hits.Value() != 1 {
+			t.Fatalf("promoted entry should hit memory, hits=%d", c2.Stats.Hits.Value())
+		}
+		return c2
+	})
 }
 
 func TestCorruptDiskEntryFallsBackToRecompute(t *testing.T) {
-	dir := t.TempDir()
 	ctx := context.Background()
+	want := canonical(t, fakeReport("w", 1000))
 	for name, garbage := range map[string][]byte{
 		"unparseable":   []byte("{not json"),
 		"truncated":     []byte(`{"Benchmark": "w",`),
@@ -144,68 +199,76 @@ func TestCorruptDiskEntryFallsBackToRecompute(t *testing.T) {
 		"empty":         nil,
 	} {
 		t.Run(name, func(t *testing.T) {
-			c := mustCache(t, 0, dir)
-			key := "k-" + name
-			if err := os.WriteFile(c.diskPath(key), garbage, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			var computes atomic.Int64
-			r, err := c.GetOrCompute(ctx, key, countingCompute("w", &computes))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if computes.Load() != 1 {
-				t.Fatalf("corrupt entry must recompute, got %d computes", computes.Load())
-			}
-			if c.Stats.Corrupt.Value() != 1 {
-				t.Fatalf("want corrupt counter 1, got %d", c.Stats.Corrupt.Value())
-			}
-			if r.Benchmark != "w" {
-				t.Fatalf("recomputed report wrong: %+v", r)
-			}
-			// The slot healed: the rewritten entry is valid on disk.
-			data, rerr := os.ReadFile(c.diskPath(key))
-			if rerr != nil {
-				t.Fatalf("entry not rewritten: %v", rerr)
-			}
-			if !validCanonical(data) {
-				t.Fatal("rewritten entry is not canonical")
-			}
+			forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
+				c := mustCache(t, 0, t.TempDir())
+				if err := os.WriteFile(c.diskPath("k"), garbage, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				var computes atomic.Int64
+				got, err := get(c, ctx, "k", countingCompute("w", &computes))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if computes.Load() != 1 {
+					t.Fatalf("corrupt entry must recompute, got %d computes", computes.Load())
+				}
+				if c.Stats.Corrupt.Value() != 1 {
+					t.Fatalf("want corrupt counter 1, got %d", c.Stats.Corrupt.Value())
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatal("recomputed bytes differ from the computed report's canonical JSON")
+				}
+				// The slot healed: the rewritten entry is valid on disk.
+				data, rerr := os.ReadFile(c.diskPath("k"))
+				if rerr != nil {
+					t.Fatalf("entry not rewritten: %v", rerr)
+				}
+				if !validCanonical(data) {
+					t.Fatal("rewritten entry is not canonical")
+				}
+				return c
+			})
 		})
 	}
 }
 
 func TestTruncatedReportNotStored(t *testing.T) {
-	c := mustCache(t, 0, t.TempDir())
 	ctx := context.Background()
-	var computes atomic.Int64
-	truncated := func(context.Context) (*core.Report, error) {
-		computes.Add(1)
+	partial := func() *core.Report {
 		r := fakeReport("w", 10)
 		r.Truncated = true
 		r.TruncatedReason = core.ReasonTimeout
-		return r, nil
+		return r
 	}
-	r, err := c.GetOrCompute(ctx, "k", truncated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Truncated {
-		t.Fatal("truncated report should pass through to the caller")
-	}
-	if _, err := c.GetOrCompute(ctx, "k", truncated); err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 2 {
-		t.Fatalf("truncated reports must not be cached: want 2 computes, got %d", computes.Load())
-	}
-	if c.Stats.Uncacheable.Value() != 2 || c.Stats.Stores.Value() != 0 {
-		t.Fatalf("want uncacheable=2 stores=0, got uncacheable=%d stores=%d",
-			c.Stats.Uncacheable.Value(), c.Stats.Stores.Value())
-	}
-	if _, err := os.Stat(c.diskPath("k")); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("truncated report leaked onto disk")
-	}
+	want := canonical(t, partial())
+	forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
+		c := mustCache(t, 0, t.TempDir())
+		var computes atomic.Int64
+		truncated := func(context.Context) (*core.Report, error) {
+			computes.Add(1)
+			return partial(), nil
+		}
+		for i := 0; i < 2; i++ {
+			got, err := get(c, ctx, "k", truncated)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatal("truncated report should pass through to the caller")
+			}
+		}
+		if computes.Load() != 2 {
+			t.Fatalf("truncated reports must not be cached: want 2 computes, got %d", computes.Load())
+		}
+		if c.Stats.Uncacheable.Value() != 2 || c.Stats.Stores.Value() != 0 {
+			t.Fatalf("want uncacheable=2 stores=0, got uncacheable=%d stores=%d",
+				c.Stats.Uncacheable.Value(), c.Stats.Stores.Value())
+		}
+		if _, err := os.Stat(c.diskPath("k")); !errors.Is(err, os.ErrNotExist) {
+			t.Fatal("truncated report leaked onto disk")
+		}
+		return c
+	})
 }
 
 func TestComputeErrorNotCached(t *testing.T) {
@@ -238,50 +301,54 @@ func TestComputeErrorNotCached(t *testing.T) {
 // concurrent requests for one cold key run compute once and share the
 // result. Run under -race via the Makefile race target.
 func TestSingleflight(t *testing.T) {
-	c := mustCache(t, 0, "")
-	const n = 16
-	var computes atomic.Int64
-	started := make(chan struct{})
-	release := make(chan struct{})
-	compute := func(context.Context) (*core.Report, error) {
-		computes.Add(1)
-		close(started)
-		<-release
-		return fakeReport("w", 77), nil
-	}
-
-	var wg sync.WaitGroup
-	results := make([]*core.Report, n)
-	errs := make([]error, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = c.GetOrCompute(context.Background(), "k", compute)
-		}(i)
-	}
-	<-started
-	// Let the followers pile up on the in-flight call, then release.
-	for c.Stats.DedupWaits.Value() < n-1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	wg.Wait()
-
-	if computes.Load() != 1 {
-		t.Fatalf("want exactly 1 compute, got %d", computes.Load())
-	}
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d failed: %v", i, errs[i])
+	want := canonical(t, fakeReport("w", 77))
+	forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
+		c := mustCache(t, 0, "")
+		const n = 16
+		var computes atomic.Int64
+		started := make(chan struct{})
+		release := make(chan struct{})
+		compute := func(context.Context) (*core.Report, error) {
+			computes.Add(1)
+			close(started)
+			<-release
+			return fakeReport("w", 77), nil
 		}
-		if results[i].DynTotal != 77 {
-			t.Fatalf("request %d got wrong report: %+v", i, results[i])
+
+		var wg sync.WaitGroup
+		results := make([][]byte, n)
+		errs := make([]error, n)
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				results[i], errs[i] = get(c, context.Background(), "k", compute)
+			}(i)
 		}
-	}
-	if dw := c.Stats.DedupWaits.Value(); dw != n-1 {
-		t.Fatalf("want %d dedup waits, got %d", n-1, dw)
-	}
+		<-started
+		// Let the followers pile up on the in-flight call, then release.
+		for c.Stats.DedupWaits.Value() < n-1 {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+
+		if computes.Load() != 1 {
+			t.Fatalf("want exactly 1 compute, got %d", computes.Load())
+		}
+		for i := 0; i < n; i++ {
+			if errs[i] != nil {
+				t.Fatalf("request %d failed: %v", i, errs[i])
+			}
+			if !bytes.Equal(results[i], want) {
+				t.Fatalf("request %d got bytes that differ from the computed report's", i)
+			}
+		}
+		if dw := c.Stats.DedupWaits.Value(); dw != n-1 {
+			t.Fatalf("want %d dedup waits, got %d", n-1, dw)
+		}
+		return c
+	})
 }
 
 // TestFollowerRetriesWhenLeaderCanceled pins that a waiter with a live

@@ -126,6 +126,26 @@ func TestCacheTransparency(t *testing.T) {
 		t.Error("cached reports are canonical and must carry no RunMetrics")
 	}
 
+	// ReportJSON serves the same bytes: a hit returns the stored bytes,
+	// and a runner with no cache encodes its own run.
+	hitJSON, err := runner.ReportJSON(ctx, name, detConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, hitJSON) {
+		t.Error("ReportJSON cache hit diverged from direct RunWorkload")
+	}
+	if h := cache.Stats.Hits.Value(); h != 2 {
+		t.Errorf("ReportJSON should hit the cache: hits=%d, want 2", h)
+	}
+	bareJSON, err := (&repro.Runner{}).ReportJSON(ctx, name, detConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, bareJSON) {
+		t.Error("uncached ReportJSON diverged from direct RunWorkload")
+	}
+
 	// A different measurement config must not alias the cached entry.
 	other := detConfig()
 	other.MeasureInstructions += 4096

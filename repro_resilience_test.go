@@ -147,6 +147,31 @@ int main() {
 	}
 }
 
+// TestReportJSONRefusesPartialReports pins that Runner.ReportJSON
+// returns bytes only for a complete report, so the server may keep
+// them as a known-good copy: a run that hands back a truncated report
+// without an error fails, with or without a cache, and nothing is
+// stored.
+func TestReportJSONRefusesPartialReports(t *testing.T) {
+	partial := func(_ context.Context, name string, _ repro.Config) (*repro.Report, error) {
+		return &repro.Report{Benchmark: name, Truncated: true, TruncatedReason: core.ReasonTimeout}, nil
+	}
+	cache, err := resultcache.New(0, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rn := range []*repro.Runner{{Run: partial}, {Run: partial, Cache: cache}} {
+		data, err := rn.ReportJSON(context.Background(), "lzw", repro.QuickConfig())
+		if err == nil || data != nil {
+			t.Errorf("cached=%v: ReportJSON of a truncated report gave %d bytes, err %v; want an error",
+				rn.Cache != nil, len(data), err)
+		}
+	}
+	if n := cache.Len(); n != 0 {
+		t.Errorf("a truncated report was stored: %d entries", n)
+	}
+}
+
 // TestFormatMarksTruncatedReports checks the table renderers: truncated
 // rows carry a dagger and a footnote, and clean reports render exactly
 // as before.

@@ -145,27 +145,76 @@ func (rn *Runner) admitted(run func(context.Context, string, Config) (*Report, e
 // Admission control and the circuit breaker (when configured) apply
 // only to the computation itself — cached reports are always served.
 func (rn *Runner) RunWorkload(ctx context.Context, name string, cfg Config) (*Report, error) {
+	compute, key, err := rn.resolve(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if key == "" {
+		return compute(ctx)
+	}
+	return rn.Cache.GetOrCompute(ctx, key, compute)
+}
+
+// ReportJSON is RunWorkload for callers that serve the canonical JSON
+// (CanonicalReportJSON) rather than read the report: a cache hit
+// returns the stored bytes without decoding them, a miss encodes its
+// report once, to store it, and a run that bypasses the cache (no
+// cache, or an uncacheable config) is encoded once here. The key,
+// checkpoint policy, admission and breaker are RunWorkload's.
+//
+// Bytes come back only for a complete report, so a caller may keep
+// them as a known-good copy: a run that returns a truncated report (or
+// none) without an error is an error here.
+//
+// A hit's bytes are the cache's own, shared with its memory tier and
+// with concurrent callers: callers must not modify or append to them.
+func (rn *Runner) ReportJSON(ctx context.Context, name string, cfg Config) ([]byte, error) {
+	compute, key, err := rn.resolve(name, cfg)
+	if err != nil {
+		return nil, err
+	}
+	complete := func(ctx context.Context) (*Report, error) {
+		rep, err := compute(ctx)
+		if err == nil && (rep == nil || rep.Truncated) {
+			err = fmt.Errorf("repro: %s: run returned no complete report", name)
+		}
+		return rep, err
+	}
+	if key == "" {
+		rep, err := complete(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return CanonicalReportJSON(rep)
+	}
+	return rn.Cache.GetOrComputeJSON(ctx, key, complete)
+}
+
+// resolve builds one run's compute function — admitted, with the
+// checkpoint policy keyed by the run's fingerprint — and returns the
+// result-cache key it is stored under, or "" when the run bypasses the
+// cache (no cache, or an uncacheable config).
+func (rn *Runner) resolve(name string, cfg Config) (compute func(context.Context) (*Report, error), key string, err error) {
 	run := rn.admitted(rn.runOne())
 	checkpointing := rn != nil && rn.Checkpoint != nil && rn.Checkpoint.Store != nil && cfg.Checkpoint == nil
 	if rn == nil || (rn.Cache == nil && !checkpointing) || !resultcache.Cacheable(cfg) {
-		return run(ctx, name, cfg)
+		return func(ctx context.Context) (*Report, error) { return run(ctx, name, cfg) }, "", nil
 	}
 	w, ok := workloads.ByName(name)
 	if !ok {
-		return nil, fmt.Errorf("repro: unknown workload %q (have %v)", name, workloads.Names())
+		return nil, "", fmt.Errorf("repro: unknown workload %q (have %v)", name, workloads.Names())
 	}
-	key := resultcache.Fingerprint(name, w.Source, cfg)
+	key = resultcache.Fingerprint(name, w.Source, cfg)
 	if checkpointing {
 		policy := *rn.Checkpoint
 		policy.Key = key
 		cfg.Checkpoint = &policy
 	}
+	compute = func(ctx context.Context) (*Report, error) { return run(ctx, name, cfg) }
 	if rn.Cache == nil {
-		return run(ctx, name, cfg)
+		return compute, "", nil
 	}
-	return rn.Cache.GetOrCompute(ctx, key, func(ctx context.Context) (*Report, error) {
-		return run(ctx, name, cfg)
-	})
+	return compute, key, nil
 }
 
 // RunAll is RunAll through the cache: the same bounded worker pool and
