@@ -103,10 +103,15 @@ stress:
 
 # End-to-end smoke of the design-space sweep CLI: a tiny grid through
 # `instrep sweep`, exercising spec expansion, cell execution, and the
-# comparative CSV artifact without any test harness in the way.
+# comparative CSV artifact without any test harness in the way. The
+# grid's eight cells differ only in the reuse buffer, so the smoke also
+# fails unless seven of them replay the first one's census verdicts.
 sweepsmoke:
-	go run ./cmd/instrep sweep -entries 64,256 -assoc 1,4 -policy lru,fifo \
-		-bench lzw -skip 1000 -measure 20000 > /dev/null
+	@out=$$(go run ./cmd/instrep sweep -entries 64,256 -assoc 1,4 -policy lru,fifo \
+		-bench lzw -skip 1000 -measure 20000 2>&1 > /dev/null) || { echo "$$out"; exit 1; }; \
+	echo "$$out"; \
+	echo "$$out" | grep -qx "instrep: 7 of 8 cells replayed from a sibling's census verdicts" || \
+		{ echo "FAIL: sweepsmoke wants 7 of 8 cells replayed"; exit 1; }
 
 # Regenerate every table and figure of the paper.
 repro:

@@ -133,10 +133,17 @@ func cmdSweep(ctx context.Context, args []string) error {
 		}
 	}
 
+	replayed := obs.Default.Counter("sweep_cells_replayed")
+	replayedBefore := replayed.Value()
 	res, runErr := eng.Execute(ctx, sp)
 	if res == nil {
 		return runErr
 	}
+	// Cells that differ only in the reuse buffer replay the census
+	// verdicts of the first of them to simulate; checkpointed cells
+	// never do (DESIGN.md §17).
+	fmt.Fprintf(os.Stderr, "instrep: %d of %d cells replayed from a sibling's census verdicts\n",
+		replayed.Value()-replayedBefore, len(cells))
 	if *resume {
 		resumed := cellsResumed.Load()
 		fmt.Fprintf(os.Stderr, "instrep: %d cells resumed from checkpoints, %d started fresh\n",

@@ -18,15 +18,22 @@ import (
 // returns what it wrote.
 func captureStdout(t *testing.T, fn func() error) ([]byte, error) {
 	t.Helper()
-	old := os.Stdout
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected to a pipe and returns what it
+// wrote.
+func capture(t *testing.T, f **os.File, fn func() error) ([]byte, error) {
+	t.Helper()
+	old := *f
 	rp, wp, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Stdout = wp
+	*f = wp
 	fnErr := fn()
 	wp.Close()
-	os.Stdout = old
+	*f = old
 	out, err := io.ReadAll(rp)
 	if err != nil {
 		t.Fatal(err)
@@ -123,6 +130,35 @@ func TestSweepSpecFile(t *testing.T) {
 	}
 }
 
+// TestSweepReportsReplayedCells pins the replay accounting line: in a
+// one-workload grid every cell but the first to simulate replays that
+// cell's census verdicts, and a warm re-run through the cache replays
+// none, since it simulates nothing.
+func TestSweepReportsReplayedCells(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates in -short mode")
+	}
+	args := []string{
+		"-entries", "64,256", "-assoc", "1,4", "-policy", "lru,fifo",
+		"-bench", "lzw", "-skip", "1000", "-measure", "20000",
+		"-cache-dir", t.TempDir(), "-csv", "",
+	}
+	for _, want := range []string{
+		"instrep: 7 of 8 cells replayed from a sibling's census verdicts\n",
+		"instrep: 0 of 8 cells replayed from a sibling's census verdicts\n",
+	} {
+		stderr, err := capture(t, &os.Stderr, func() error {
+			return cmdSweep(context.Background(), args)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(stderr) != want {
+			t.Errorf("stderr = %q, want %q", stderr, want)
+		}
+	}
+}
+
 func TestSweepFlagErrors(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -194,30 +230,27 @@ func TestSweepResumeReportsRestoredCells(t *testing.T) {
 	}
 
 	before := obs.Default.Counter("sweep_cells_resumed").Value()
-	var stderr bytes.Buffer
-	oldStderr := os.Stderr
-	rp, wp, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	os.Stderr = wp
-	_, sweepErr := captureStdout(t, func() error {
-		return cmdSweep(context.Background(), []string{
-			"-entries", "64", "-assoc", "1", "-policy", "lru", "-bench", "lzw",
-			"-skip", "1000", "-measure", "600000",
-			"-checkpoint-dir", ckptDir, "-resume"})
+	stderr, sweepErr := capture(t, &os.Stderr, func() error {
+		_, err := captureStdout(t, func() error {
+			return cmdSweep(context.Background(), []string{
+				"-entries", "64", "-assoc", "1", "-policy", "lru", "-bench", "lzw",
+				"-skip", "1000", "-measure", "600000",
+				"-checkpoint-dir", ckptDir, "-resume"})
+		})
+		return err
 	})
-	wp.Close()
-	os.Stderr = oldStderr
-	io.Copy(&stderr, rp)
 	if sweepErr != nil {
-		t.Fatalf("resumed sweep failed: %v\nstderr: %s", sweepErr, stderr.String())
+		t.Fatalf("resumed sweep failed: %v\nstderr: %s", sweepErr, stderr)
 	}
 	if got := obs.Default.Counter("sweep_cells_resumed").Value() - before; got != 1 {
 		t.Errorf("sweep_cells_resumed advanced by %d, want 1", got)
 	}
-	if !strings.Contains(stderr.String(), "1 cells resumed from checkpoints, 0 started fresh") {
-		t.Errorf("resume log line missing:\n%s", stderr.String())
+	if !strings.Contains(string(stderr), "1 cells resumed from checkpoints, 0 started fresh") {
+		t.Errorf("resume log line missing:\n%s", stderr)
+	}
+	// A checkpointed cell neither leads nor replays.
+	if !strings.Contains(string(stderr), "instrep: 0 of 1 cells replayed from a sibling's census verdicts") {
+		t.Errorf("replay log line missing:\n%s", stderr)
 	}
 	// The finished cell's snapshot is gone: nothing to resume twice.
 	if keys := store.Keys(); len(keys) != 0 {

@@ -133,7 +133,7 @@ type Config struct {
 // Progress is one progress-callback update.
 type Progress struct {
 	Benchmark string
-	Phase     string // "skip" or "measure"
+	Phase     string // "skip", "measure", or "replay" (replay.go)
 	Done      uint64 // instructions retired in this phase so far
 	Total     uint64 // phase budget (0 = run to completion)
 	Retired   uint64 // instructions retired since machine start
@@ -174,6 +174,9 @@ type batch struct {
 	rets  []cpu.RetEvent
 	kinds []uint8
 	timed bool // this flush's passes are timed for cost attribution
+	// counting is the window state the batch's events retired under,
+	// set by flush: the passes read it here, not from the Pipeline.
+	counting bool
 }
 
 // newBatch allocates an empty batch at full capacity.
@@ -298,85 +301,96 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	add := func(name string, helper bool, run func(*batch)) {
 		p.stages = append(p.stages, stage{name: name, run: run, helper: helper})
 	}
+	// Each pass captures its observer in a local and reads the window
+	// state from the batch, never a Pipeline field: a helper-side pass
+	// loading the Pipeline on every event would share a cache line with
+	// the run goroutine's batch writes whenever the allocator placed the
+	// Pipeline off a line boundary (DESIGN.md §15).
 	if !cfg.DisableTaint {
 		// Dataflow analyses run even while the window is closed (their
 		// Counting flags gate the statistics, not the propagation).
-		p.Taint = taint.New(im)
-		add(p.Taint.Name(), onRun, func(b *batch) {
+		ta := taint.New(im)
+		p.Taint = ta
+		add(ta.Name(), onRun, func(b *batch) {
 			for i := range b.evs {
-				p.Taint.Observe(&b.evs[i], b.vers[i])
+				ta.Observe(&b.evs[i], b.vers[i])
 			}
 		})
 	}
 	if !cfg.DisableLocal {
-		p.Local = local.New(im)
-		add(p.Local.Name(), onHelper, func(b *batch) {
+		lo := local.New(im)
+		p.Local = lo
+		add(lo.Name(), onHelper, func(b *batch) {
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
 				case itemInst:
-					p.Local.Observe(&b.evs[ei], b.vers[ei])
+					lo.Observe(&b.evs[ei], b.vers[ei])
 					ei++
 				case itemCall:
-					p.Local.OnCall(&b.calls[ci])
+					lo.OnCall(&b.calls[ci])
 					ci++
 				default:
-					p.Local.OnReturn(&b.rets[ri])
+					lo.OnReturn(&b.rets[ri])
 					ri++
 				}
 			}
 		})
 	}
 	if !cfg.DisableFunc {
-		p.Funcs = funcanal.New(im)
-		add(p.Funcs.Name(), onRun, func(b *batch) {
+		fa := funcanal.New(im)
+		p.Funcs = fa
+		add(fa.Name(), onRun, func(b *batch) {
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
 				case itemInst:
-					p.Funcs.Observe(&b.evs[ei], b.vers[ei])
+					fa.Observe(&b.evs[ei], b.vers[ei])
 					ei++
 				case itemCall:
-					p.Funcs.OnCall(&b.calls[ci])
+					fa.OnCall(&b.calls[ci])
 					ci++
 				default:
-					p.Funcs.OnReturn(&b.rets[ri])
+					fa.OnReturn(&b.rets[ri])
 					ri++
 				}
 			}
 		})
 	}
 	if !cfg.DisableReuse {
-		p.Reuse = reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy)
-		add(p.Reuse.Name(), onHelper, func(b *batch) {
-			if !p.counting {
+		rb := reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy)
+		p.Reuse = rb
+		add(rb.Name(), onHelper, func(b *batch) {
+			if !b.counting {
 				return
 			}
 			for i := range b.evs {
-				p.Reuse.Observe(&b.evs[i], b.vers[i])
+				rb.Observe(&b.evs[i], b.vers[i])
 			}
 		})
 	}
 	if !cfg.DisableVPred {
-		p.VPred = vpred.New(cfg.VPredEntries)
-		add(p.VPred.Name(), onHelper, func(b *batch) {
-			if !p.counting {
+		vp := vpred.New(cfg.VPredEntries)
+		p.VPred = vp
+		add(vp.Name(), onHelper, func(b *batch) {
+			if !b.counting {
 				return
 			}
 			for i := range b.evs {
-				p.VPred.Observe(&b.evs[i])
+				vp.Observe(&b.evs[i])
 			}
 		})
 	}
 	if !cfg.DisableVProf {
-		p.VProf = vprofile.New()
-		p.VProf.SetTextBounds(program.TextBase, im.StaticInstructions())
-		add(p.VProf.Name(), onHelper, func(b *batch) {
-			if !p.counting {
+		vf := vprofile.New()
+		vf.SetTextBounds(program.TextBase, im.StaticInstructions())
+		p.VProf = vf
+		add(vf.Name(), onHelper, func(b *batch) {
+			if !b.counting {
 				return
 			}
 			for i := range b.evs {
-				p.VProf.Observe(&b.evs[i])
+				vf.Observe(&b.evs[i])
 			}
 		})
 	}
@@ -430,6 +444,7 @@ func (p *Pipeline) flush() {
 			h.raise(b)
 		}
 	}
+	b.counting = p.counting
 	b.timed = p.sampleEvery > 0 && p.flushes%p.sampleEvery == 0
 	p.flushes++
 	p.totalEvs += uint64(len(b.evs))
@@ -438,7 +453,7 @@ func (p *Pipeline) flush() {
 		p.samples += uint64(len(b.evs))
 		now = time.Now()
 	}
-	if p.counting {
+	if b.counting {
 		for i := range b.evs {
 			b.vers[i] = p.Rep.Observe(&b.evs[i])
 		}
@@ -815,6 +830,29 @@ func (l *runLoop) runChunk(ctx context.Context, n uint64) (uint64, error) {
 	return done, nil
 }
 
+// window observes a run's measure window: the full pipeline, or a
+// replay's lone reuse buffer (replay.go).
+type window interface {
+	// open starts the window: the next instruction is its first.
+	open()
+	// drain observes every buffered event.
+	drain()
+	// Collect gathers the window's statistics into a report.
+	Collect(im *program.Image, name string) *Report
+	// describe fills the window's part of the run metrics.
+	describe(rm *obs.RunMetrics)
+}
+
+func (p *Pipeline) open() { p.SetCounting(true) }
+
+func (p *Pipeline) describe(rm *obs.RunMetrics) {
+	rm.ObserverSampleEvery = p.sampleEvery
+	rm.Observers = p.ObserverCosts()
+	rm.ObserverHelper = p.helperNames
+	rm.HelperWaits = p.helperWaits
+	rm.HelperWaitNS = p.helperWait.Nanoseconds()
+}
+
 // Run executes a full experiment: fast-forward, attach the pipeline,
 // measure, and collect the report with its run metrics. If cfg.Span
 // is set Run treats it as the enclosing run span (adding phase
@@ -826,6 +864,14 @@ func (l *runLoop) runChunk(ctx context.Context, n uint64) (uint64, error) {
 // Report flagged Truncated (statistics cover the instructions
 // measured so far, metrics included) alongside the error describing
 // the cut. Only a nil ctx is replaced with context.Background().
+//
+// Under a context carrying ReplayGroups, an eligible run joins its
+// group first (replay.go): the group's first run leads and records its
+// census verdicts, and a later run waits for the leader and, when the
+// leader published, replays those verdicts through its own reuse
+// buffer in a "replay" phase instead of a "measure" phase. A replay
+// whose measured count differs from the verdicts it was given returns
+// an error and no report.
 func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg Config) (rep *Report, err error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -834,6 +880,15 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		// Reject rather than silently fall back: a bogus policy would
 		// otherwise measure LRU under a key claiming something else.
 		return nil, fmt.Errorf("core: invalid reuse replacement policy %v", cfg.ReusePolicy)
+	}
+	// The wait for a group's leader comes before the CPU claim, so a
+	// waiting run holds none; the leader's group is released last, after
+	// its CPU. rec holds the verdicts a replay is fed, or those a leader
+	// records.
+	lead, rec := joinGroup(ctx, im, input, name, cfg)
+	replaying := rec != nil
+	if lead != nil {
+		defer close(lead.done)
 	}
 	defer ClaimCPU()()
 	root := cfg.Span
@@ -858,60 +913,31 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	}
 
 	load := root.StartChild("load")
-	build := func() (*cpu.Machine, *Pipeline) {
-		m := cpu.New(im, input)
+	var (
+		m      *cpu.Machine
+		p      *Pipeline
+		w      window
+		ck     *ckState
+		resume *resumeState
+		// phase names the measure window's run phase and span.
+		phase = "measure"
+	)
+	if replaying {
+		m = cpu.New(im, input)
 		m.NoTranslate = cfg.DisableTranslation
-		p := NewPipeline(im, cfg)
-		if at, msg, ok := cfg.Faults.ObserverPanic(name); ok {
-			p.stages = append(p.stages, stage{name: "faultinject", run: panicAt(at, msg), helper: onHelper})
+		w, phase = newReplay(m, cfg, rec), "replay"
+	} else {
+		m, p, ck, resume = startPipeline(im, input, name, cfg, root)
+		if lead != nil {
+			rec = &verdicts{}
+			p.stages = append(p.stages, stage{name: "verdicts", run: rec.record, helper: onRun})
 		}
-		m.Attach(p)
-		return m, p
+		// Arm the helper only now: a failed restore rebuilds the
+		// pipeline, and the helper keeps pointers into p.stages.
+		p.armHelper()
+		defer p.disarm()
+		w = p
 	}
-	m, p := build()
-
-	// Resume before any instruction runs: restore machine and pipeline
-	// from the newest snapshot under the policy's key. A snapshot that
-	// fails restore-time validation is counted, deleted, and ignored —
-	// the freshly built state is discarded (restore may have partially
-	// mutated it) and the run starts over.
-	var ck *ckState
-	var resume *resumeState
-	if cp := cfg.Checkpoint; cp.enabled() {
-		ck = &ckState{policy: cp, name: name, span: root, m: m, p: p, lastAt: time.Now()}
-		if cp.Resume {
-			if body, ok := cp.Store.Load(cp.Key); ok {
-				sp := root.StartChild("checkpoint.restore")
-				rs, rerr := restoreBody(body, ck)
-				if rerr == nil && !resumableInto(rs, cfg) {
-					rerr = checkpoint.ErrMalformed
-				}
-				if rerr != nil {
-					sp.SetAttr("error", rerr.Error())
-					cp.Store.RejectResume(cp.Key)
-					m, p = build()
-					ck.m, ck.p = m, p
-				} else {
-					sp.SetAttr("retired", rs.retired)
-					sp.SetAttr("phase", rs.phase)
-					resume = &rs
-					ck.baseSkipped, ck.baseMeasured = rs.skipped, rs.measured
-					ck.lastRetired = rs.retired
-					cp.Store.Stats.Resumes.Inc()
-					if cp.Notify != nil {
-						cp.Notify(CheckpointEvent{
-							Benchmark: name, Resumed: true,
-							Retired: rs.retired, Phase: rs.phase,
-						})
-					}
-				}
-				sp.End()
-			}
-		}
-	}
-	// Arm the helper only now: a failed restore rebuilds the pipeline.
-	p.armHelper()
-	defer p.disarm()
 	st := newRunState(name)
 	if resume != nil {
 		st.publish(m.Count, m.PC)
@@ -942,12 +968,12 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		// The window's last events are observed inside the span that
 		// times the window, and a panic the helper recovered is raised
 		// before the collect span starts.
-		p.drain()
+		w.drain()
 		if measure != nil {
 			measure.End()
 		}
 		collect := root.StartChild("collect")
-		r := p.Collect(im, name)
+		r := w.Collect(im, name)
 		r.SkippedInstructions = skipped
 		r.MeasuredInstructions = measured
 		r.ProgramExited = m.Halted
@@ -958,7 +984,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		if measure != nil {
 			measureWall = measure.Duration()
 		}
-		r.Metrics = runMetrics(root, m, p, name, measured, measureWall)
+		r.Metrics = runMetrics(root, m, w, name, measured, measureWall)
 		r.Metrics.TraceID = st.traceID
 		if runErr != nil {
 			r.Truncated = true
@@ -1003,22 +1029,27 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 			ck.baseSkipped = skipped
 		}
 
-		p.SetCounting(true)
-		measure = root.StartChild("measure")
+		w.open()
+		measure = root.StartChild(phase)
 		measureMax := cfg.MeasureInstructions
 		if cfg.MeasureInstructions > 0 {
 			measureMax = cfg.MeasureInstructions - measured
 		}
 		if measureMax > 0 || cfg.MeasureInstructions == 0 {
-			done, merr := loop.runPhase(ctx, measureMax, "measure")
+			done, merr := loop.runPhase(ctx, measureMax, phase)
 			measured += done
 			if merr != nil {
-				return finish(merr), fmt.Errorf("core: measure: %w", merr)
+				return finish(merr), fmt.Errorf("core: %s: %w", phase, merr)
 			}
 		}
 		if ck != nil {
 			// A completed run can't be "resumed": drop its snapshot.
 			ck.policy.Store.Remove(ck.policy.Key)
+		}
+		if replaying && measured != rec.n {
+			measure.End()
+			root.End()
+			return nil, fmt.Errorf("core: replay: measured %d instructions, but the census verdicts cover %d", measured, rec.n)
 		}
 		return finish(nil), nil
 	}()
@@ -1026,7 +1057,67 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		health.PanicsRecovered.Inc()
 		return safeFinish(finish, perr), perr
 	}
+	if lead != nil && err == nil {
+		lead.publish(rec, rep, p.Rep.RepeatedInstructions())
+	}
 	return rep, err
+}
+
+// startPipeline builds a full run's machine and pipeline, and, under a
+// checkpoint policy that asks for it, restores both from the newest
+// snapshot under the policy's key before any instruction runs. A
+// snapshot that fails restore-time validation is counted, deleted, and
+// ignored — the freshly built state is discarded (restore may have
+// partially mutated it) and the run starts over.
+func startPipeline(im *program.Image, input []byte, name string, cfg Config, root *obs.Span) (*cpu.Machine, *Pipeline, *ckState, *resumeState) {
+	build := func() (*cpu.Machine, *Pipeline) {
+		m := cpu.New(im, input)
+		m.NoTranslate = cfg.DisableTranslation
+		p := NewPipeline(im, cfg)
+		if at, msg, ok := cfg.Faults.ObserverPanic(name); ok {
+			p.stages = append(p.stages, stage{name: "faultinject", run: panicAt(at, msg), helper: onHelper})
+		}
+		m.Attach(p)
+		return m, p
+	}
+	m, p := build()
+	cp := cfg.Checkpoint
+	if !cp.enabled() {
+		return m, p, nil, nil
+	}
+	ck := &ckState{policy: cp, name: name, span: root, m: m, p: p, lastAt: time.Now()}
+	if !cp.Resume {
+		return m, p, ck, nil
+	}
+	body, ok := cp.Store.Load(cp.Key)
+	if !ok {
+		return m, p, ck, nil
+	}
+	sp := root.StartChild("checkpoint.restore")
+	defer sp.End()
+	rs, rerr := restoreBody(body, ck)
+	if rerr == nil && !resumableInto(rs, cfg) {
+		rerr = checkpoint.ErrMalformed
+	}
+	if rerr != nil {
+		sp.SetAttr("error", rerr.Error())
+		cp.Store.RejectResume(cp.Key)
+		m, p = build()
+		ck.m, ck.p = m, p
+		return m, p, ck, nil
+	}
+	sp.SetAttr("retired", rs.retired)
+	sp.SetAttr("phase", rs.phase)
+	ck.baseSkipped, ck.baseMeasured = rs.skipped, rs.measured
+	ck.lastRetired = rs.retired
+	cp.Store.Stats.Resumes.Inc()
+	if cp.Notify != nil {
+		cp.Notify(CheckpointEvent{
+			Benchmark: name, Resumed: true,
+			Retired: rs.retired, Phase: rs.phase,
+		})
+	}
+	return m, p, ck, &rs
 }
 
 // resumableInto checks a restored snapshot's phase bookkeeping against
@@ -1059,18 +1150,13 @@ func safeFinish(finish func(error) *Report, perr error) (rep *Report) {
 }
 
 // runMetrics assembles the observability document for one run.
-func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measured uint64, measureWall time.Duration) *obs.RunMetrics {
+func runMetrics(root *obs.Span, m *cpu.Machine, w window, name string, measured uint64, measureWall time.Duration) *obs.RunMetrics {
 	rm := &obs.RunMetrics{
-		Benchmark:           name,
-		Phases:              root.Tree(),
-		ExecPath:            obs.ExecTranslated,
-		BlocksTranslated:    m.Trans.Blocks,
-		FallbackSteps:       m.Trans.FallbackSteps,
-		ObserverSampleEvery: p.sampleEvery,
-		Observers:           p.ObserverCosts(),
-		ObserverHelper:      p.helperNames,
-		HelperWaits:         p.helperWaits,
-		HelperWaitNS:        p.helperWait.Nanoseconds(),
+		Benchmark:        name,
+		Phases:           root.Tree(),
+		ExecPath:         obs.ExecTranslated,
+		BlocksTranslated: m.Trans.Blocks,
+		FallbackSteps:    m.Trans.FallbackSteps,
 		Sim: obs.SimCounters{
 			Retired:       m.Count,
 			Loads:         m.Stats.Loads,
@@ -1083,6 +1169,7 @@ func runMetrics(root *obs.Span, m *cpu.Machine, p *Pipeline, name string, measur
 	if m.NoTranslate {
 		rm.ExecPath = obs.ExecInterpreted
 	}
+	w.describe(rm)
 	for k, n := range m.Stats.Kinds {
 		if n > 0 {
 			rm.Sim.ClassMix = append(rm.Sim.ClassMix, obs.ClassCount{

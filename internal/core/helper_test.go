@@ -14,6 +14,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
@@ -46,13 +47,22 @@ func holdOffHelper() (release func()) {
 }
 
 // checkReleased fails the test when a run left a CPU claim or a
-// goroutine behind.
+// goroutine behind. The helper closes its exited channel in a deferred
+// call, so its goroutine may still be finishing when core.Run returns:
+// the goroutine count is polled until it reaches the bound or a
+// deadline passes.
 func checkReleased(t *testing.T, what string, cpus, goroutines int) {
 	t.Helper()
 	if n := core.ClaimedCPUs(); n != cpus {
 		t.Errorf("%s: %d CPUs claimed after the run, want %d", what, n, cpus)
 	}
-	if n := runtime.NumGoroutine(); n > goroutines {
+	deadline := time.Now().Add(5 * time.Second)
+	n := runtime.NumGoroutine()
+	for n > goroutines && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	if n > goroutines {
 		t.Errorf("%s: %d goroutines after the run, want at most %d", what, n, goroutines)
 	}
 }

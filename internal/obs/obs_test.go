@@ -165,6 +165,53 @@ func TestRunMetricsGolden(t *testing.T) {
 	}
 }
 
+// TestRunMetricsReplayGolden pins the -metrics text rendering of a
+// sweep cell that replayed a sibling's census verdicts: exec path
+// "replay", a "replay" phase where a full run has "measure", and no
+// observer passes.
+func TestRunMetricsReplayGolden(t *testing.T) {
+	m := &RunMetrics{
+		Benchmark: "lzw",
+		Phases: PhaseTiming{
+			Name: "run", WallNS: 4_000_000, Wall: "4ms",
+			Children: []PhaseTiming{
+				{Name: "compile", WallNS: 10_000, Wall: "10µs"},
+				{Name: "load", WallNS: 90_000, Wall: "90µs"},
+				{Name: "skip", WallNS: 400_000, Wall: "400µs"},
+				{Name: "replay", WallNS: 3_000_000, Wall: "3ms"},
+				{Name: "collect", WallNS: 500_000, Wall: "500µs"},
+			},
+		},
+		Sim:              SimCounters{Retired: 60_000, Loads: 15_000, Stores: 5_000, Branches: 9_000, BranchesTaken: 6_000},
+		RetireRateMIPS:   16.67,
+		ExecPath:         ExecReplay,
+		BlocksTranslated: 321,
+	}
+	want := strings.Join([]string{
+		"run metrics: lzw",
+		"phases:",
+		"  run                    4ms",
+		"    compile              10µs",
+		"    load                 90µs",
+		"    skip                 400µs",
+		"    replay               3ms",
+		"    collect              500µs",
+		"simulator:",
+		"  instructions retired   60,000",
+		"  retire rate            16.67 MIPS",
+		"  exec path              replay (321 blocks translated, 0 fallback steps)",
+		"  observer helper        none (a replay runs only its reuse buffer)",
+		"  loads                  15,000",
+		"  stores                 5,000",
+		"  branches               9,000 (6,000 taken)",
+		"  syscalls               0",
+		"",
+	}, "\n")
+	if got := m.FormatText(); got != want {
+		t.Errorf("FormatText mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 func TestFormatDuration(t *testing.T) {
 	cases := []struct {
 		d    time.Duration

@@ -34,7 +34,9 @@ type RunMetrics struct {
 
 	// ExecPath names the simulator loop the run executed on:
 	// ExecTranslated (the block translation cache) or ExecInterpreted
-	// (the Step interpreter, chosen by Config.DisableTranslation).
+	// (the Step interpreter, chosen by Config.DisableTranslation) — or
+	// ExecReplay, a sweep cell that ran only its own reuse buffer, fed
+	// a sibling cell's census verdicts, in a "replay" phase.
 	ExecPath string `json:"exec_path,omitempty"`
 	// BlocksTranslated is how many superblocks the translation cache
 	// built during the run (0 on the interpreted path).
@@ -73,6 +75,7 @@ type RunMetrics struct {
 const (
 	ExecTranslated  = "translated"
 	ExecInterpreted = "interpreted"
+	ExecReplay      = "replay"
 )
 
 // WaveStats summarizes a min-of-N-waves re-measurement.
@@ -161,11 +164,14 @@ func (m *RunMetrics) FormatText() string {
 	if m.ExecPath != "" {
 		kv("exec path", fmt.Sprintf("%s (%s blocks translated, %s fallback steps)",
 			m.ExecPath, groupCount(m.BlocksTranslated), groupCount(m.FallbackSteps)))
-		if len(m.ObserverHelper) > 0 {
+		switch {
+		case len(m.ObserverHelper) > 0:
 			kv("observer helper", fmt.Sprintf("%s (%s waits, %s)",
 				strings.Join(m.ObserverHelper, ", "), groupCount(m.HelperWaits),
 				FormatDuration(time.Duration(m.HelperWaitNS))))
-		} else {
+		case m.ExecPath == ExecReplay:
+			kv("observer helper", "none (a replay runs only its reuse buffer)")
+		default:
 			kv("observer helper", "none (all passes inline)")
 		}
 	}

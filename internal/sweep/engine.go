@@ -48,6 +48,13 @@ type Engine struct {
 // grid still runs; the returned error joins every cell failure (nil
 // only when the whole grid succeeded). Only a spec that fails
 // validation returns a nil Result.
+//
+// Cells that differ only in the reuse buffer share one census: the
+// context every cell runs under carries a core.ReplayGroups registry
+// for this call, so the first such cell to simulate records its census
+// verdicts and the others replay them through their own buffers
+// (DESIGN.md §17). Each cell still makes its own Run call; a cell whose
+// report says it replayed counts in sweep_cells_replayed.
 func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	cells, err := Expand(sp)
 	if err != nil {
@@ -60,6 +67,7 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 	reg.Counter("sweep_sweeps_total").Inc()
 	reg.Counter("sweep_cells_total").Add(uint64(len(cells)))
 
+	ctx = core.WithReplayGroups(ctx, core.NewReplayGroups())
 	results := make([]CellResult, len(cells))
 	reps := make([]*core.Report, len(cells))
 	errs := make([]error, len(cells))
@@ -77,6 +85,9 @@ func (e *Engine) Execute(ctx context.Context, sp *Spec) (*Result, error) {
 				reg.Counter("sweep_cells_failed").Inc()
 			} else {
 				reg.Counter("sweep_cells_ok").Inc()
+				if m := reps[i].Metrics; m != nil && m.ExecPath == obs.ExecReplay {
+					reg.Counter("sweep_cells_replayed").Inc()
+				}
 			}
 			if e.Progress != nil {
 				e.Progress(Progress{

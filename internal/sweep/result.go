@@ -38,7 +38,9 @@ type CellResult struct {
 	Error string `json:",omitempty"`
 
 	// Report is the cell's full report, for differential tests and
-	// partial-result rendering; it never enters the artifact.
+	// partial-result rendering; it never enters the artifact. Treat it
+	// as read-only: a cached report is shared with other callers, and a
+	// replayed one shares its slices with its group leader's.
 	Report *core.Report `json:"-"`
 }
 

@@ -23,7 +23,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro"
 	"repro/internal/obs"
@@ -76,6 +78,11 @@ func TestSweepDifferentialAgainstStandalone(t *testing.T) {
 	if got := coldReg.Counter("sweep_cells_ok").Value(); got != uint64(len(cells)) {
 		t.Errorf("cold sweep_cells_ok = %d, want %d", got, len(cells))
 	}
+	// Every cell but one per workload replays its group leader's census
+	// verdicts, so the byte comparison below covers replayed reports.
+	if got, want := coldReg.Counter("sweep_cells_replayed").Value(), uint64(len(cells)-len(sp.Workloads)); got != want {
+		t.Errorf("cold sweep_cells_replayed = %d, want %d", got, want)
+	}
 	if got := cache.Stats.Misses.Value(); got != uint64(len(cells)) {
 		t.Errorf("cold cache misses = %d, want %d", got, len(cells))
 	}
@@ -120,6 +127,9 @@ func TestSweepDifferentialAgainstStandalone(t *testing.T) {
 	if got := warmReg.Counter("sweep_cells_ok").Value(); got != uint64(len(cells)) {
 		t.Errorf("warm sweep_cells_ok = %d, want %d", got, len(cells))
 	}
+	if got := warmReg.Counter("sweep_cells_replayed").Value(); got != 0 {
+		t.Errorf("warm sweep_cells_replayed = %d, want 0 (every cell is a cache hit)", got)
+	}
 	coldCSV, warmCSV := cold.CSV(), warm.CSV()
 	if !bytes.Equal(coldCSV, warmCSV) {
 		t.Errorf("warm CSV differs from cold CSV\n%s", firstDiff(coldCSV, warmCSV))
@@ -134,6 +144,72 @@ func TestSweepDifferentialAgainstStandalone(t *testing.T) {
 	}
 	if !bytes.Equal(coldJS, warmJS) {
 		t.Errorf("warm JSON differs from cold JSON\n%s", firstDiff(coldJS, warmJS))
+	}
+}
+
+// TestSweepLeaderCutShortPublishesNothing gives the first cell to run,
+// which leads its group, an already-expired timeout: that cell fails,
+// its truncated run publishes no census verdicts, and its siblings run
+// the full pipeline and still match standalone runs byte for byte. The
+// other workload's group replays as usual.
+func TestSweepLeaderCutShortPublishesNothing(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates in -short mode")
+	}
+	ctx := context.Background()
+	sp := &sweep.Spec{
+		Entries:   []int{64, 256},
+		Assoc:     []int{1},
+		Policies:  []string{"lru", "fifo"},
+		Workloads: []string{"lzw", "scrip"},
+		Skip:      1_000,
+		Measure:   20_000,
+	}
+	cells, err := sweep.Expand(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var first atomic.Bool
+	run := func(ctx context.Context, workload string, cfg repro.Config) (*repro.Report, error) {
+		if first.CompareAndSwap(false, true) {
+			cfg.Timeout = time.Nanosecond
+		}
+		return repro.RunWorkload(ctx, workload, cfg)
+	}
+	reg := obs.NewRegistry()
+	eng := &sweep.Engine{Run: run, Parallel: 1, Metrics: reg}
+	res, err := eng.Execute(ctx, sp)
+	if err == nil {
+		t.Fatal("the cut-short leader's cell did not fail the sweep")
+	}
+	if c := res.Cells[0]; c.OK() || c.Workload != "lzw" {
+		t.Fatalf("cell 0 (%s) ok=%v, want the failed lzw leader", c.Workload, c.OK())
+	}
+	// Only scrip's three siblings replay; lzw's run in full.
+	if got := reg.Counter("sweep_cells_replayed").Value(); got != 3 {
+		t.Errorf("sweep_cells_replayed = %d, want 3", got)
+	}
+	for i, c := range cells[1:] {
+		got := res.Cells[i+1]
+		if !got.OK() {
+			t.Fatalf("%s failed: %s", c.ID(), got.Error)
+		}
+		want, err := repro.RunWorkload(ctx, c.Workload, c.Config)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotJSON, err := repro.CanonicalReportJSON(got.Report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantJSON, err := repro.CanonicalReportJSON(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(gotJSON, wantJSON) {
+			t.Errorf("%s: sweep cell report diverges from standalone run\n%s",
+				c.ID(), firstDiff(wantJSON, gotJSON))
+		}
 	}
 }
 
@@ -155,10 +231,16 @@ func TestGoldenSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates in -short mode")
 	}
-	eng := &sweep.Engine{Run: repro.RunWorkload, Metrics: obs.NewRegistry()}
+	reg := obs.NewRegistry()
+	eng := &sweep.Engine{Run: repro.RunWorkload, Metrics: reg}
 	res, err := eng.Execute(context.Background(), goldenSweepSpec())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// One cell per workload leads its group; the other 88 of the 96
+	// replay its census verdicts, and the artifacts below pin them.
+	if got := reg.Counter("sweep_cells_replayed").Value(); got != 88 {
+		t.Errorf("sweep_cells_replayed = %d, want 88 of %d", got, len(res.Cells))
 	}
 	js, err := res.JSON()
 	if err != nil {
