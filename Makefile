@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all test vet race check cover bench benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke repro lint examples
+.PHONY: all test vet race check cover bench benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke perfbench repro lint examples
 
 all: check
 
@@ -11,8 +11,9 @@ all: check
 # a bounded fuzz pass over the panic-sensitive decoders, the
 # SIGKILL/resume checkpoint loop, the durable-job crash/restart
 # chaos test, the extended chaos run against the overload-hardened
-# server, and a tiny end-to-end design-space sweep through the CLI.
-check: test vet lint race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke
+# server, a tiny end-to-end design-space sweep through the CLI, and the
+# benchmark module's own vet and tests.
+check: test vet lint race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke perfbench
 
 # Enforced statement-coverage floor across the whole module. The
 # current baseline is ~84%; the floor sits a few points below so
@@ -112,6 +113,12 @@ sweepsmoke:
 	echo "$$out"; \
 	echo "$$out" | grep -qx "instrep: 7 of 8 cells replayed from a sibling's census verdicts" || \
 		{ echo "FAIL: sweepsmoke wants 7 of 8 cells replayed"; exit 1; }
+
+# The benchmark is a nested module (perfbench/go.mod), so `go build
+# ./...` and `go test ./...` at the root skip it: vet and test it on its
+# own, offline, so an internal API change cannot break it unseen.
+perfbench:
+	cd perfbench && GOWORK=off GOPROXY=off go vet . && GOWORK=off GOPROXY=off go test -count=1 .
 
 # Regenerate every table and figure of the paper.
 repro:

@@ -364,8 +364,7 @@ func BenchmarkCensusObserve(b *testing.B) {
 	evs := synthEvents(1<<16, 1024, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := repetition.NewTracker()
-		tr.SetTextBounds(0x400000, 1024)
+		tr := repetition.NewTracker(1024)
 		for j := range evs {
 			tr.Observe(&evs[j])
 		}

@@ -16,9 +16,9 @@ import (
 	"repro/internal/obs"
 )
 
-// DefaultCheckpointInterval is the wall-clock snapshot period when
-// the policy sets neither pacer. Snapshots of a full-window run cost
-// ~100ms each (tens of MB of tracker + memory state serialized,
+// DefaultCheckpointInterval is the wall-clock snapshot period of a
+// policy without a count pacer (Every == 0). Snapshots of a full-window
+// run cost ~100ms each (tens of MB of tracker + memory state serialized,
 // hashed, and written), so pacing by wall clock is what keeps the
 // overhead bounded regardless of window size: one write per 15s is
 // <1% of retire rate on any run long enough to need checkpointing,
@@ -40,15 +40,11 @@ type CheckpointPolicy struct {
 	// (workload, config, version) run.
 	Key string
 	// Every is a retire-count pacer: a snapshot lands on the first
-	// chunk boundary at or past every N retired instructions
-	// (0 = no count pacing). Deterministic, so tests use it to pin
-	// snapshot points.
+	// chunk boundary at or past every N retired instructions.
+	// Deterministic, so tests use it to pin snapshot points. 0 paces by
+	// wall clock instead: a snapshot lands on the first chunk boundary
+	// after each DefaultCheckpointInterval.
 	Every uint64
-	// Interval is a wall-clock pacer: a snapshot lands on the first
-	// chunk boundary after each period elapses. 0 means
-	// DefaultCheckpointInterval — unless Every is set, in which case
-	// 0 disables time pacing (the caller asked for count-only).
-	Interval time.Duration
 	// Resume makes Run look for a snapshot under Key at startup and
 	// continue from it. A snapshot that fails validation is counted,
 	// deleted, and ignored — the run starts fresh.
@@ -62,14 +58,6 @@ type CheckpointPolicy struct {
 // enabled reports whether the policy can snapshot at all.
 func (cp *CheckpointPolicy) enabled() bool {
 	return cp != nil && cp.Store != nil && cp.Key != ""
-}
-
-// interval returns the effective wall-clock period (0 = disabled).
-func (cp *CheckpointPolicy) interval() time.Duration {
-	if cp.Interval == 0 && cp.Every == 0 {
-		return DefaultCheckpointInterval
-	}
-	return cp.Interval
 }
 
 // CheckpointEvent describes one checkpoint action during a run.
@@ -164,37 +152,42 @@ func restoreBody(body []byte, ck *ckState) (resumeState, error) {
 	return rs, nil
 }
 
+// analysis is the checkpoint surface every pipeline observer has.
+type analysis interface {
+	SnapshotTo(w *checkpoint.Writer)
+	RestoreFrom(r *checkpoint.Reader) error
+}
+
+// optional lists the six optional analyses in snapshot order, with a
+// nil entry for each one the config disabled.
+func (p *Pipeline) optional() []analysis {
+	return []analysis{opt(p.Taint), opt(p.Local), opt(p.Funcs), opt(p.Reuse), opt(p.VPred), opt(p.VProf)}
+}
+
+// opt boxes an analysis pointer, keeping a nil pointer nil.
+func opt[T any, P interface {
+	*T
+	analysis
+}](a P) analysis {
+	if a == nil {
+		return nil
+	}
+	return a
+}
+
 // snapshotTo writes every pipeline observer after draining the event
-// batches. Presence flags guard each optional observer so a snapshot
-// taken under one analysis config can never restore into another
-// (the checkpoint key should already rule that out; this is the
-// belt to its suspenders).
+// batches: the census, then each optional analysis behind a presence
+// flag, so a snapshot taken under one analysis config can never
+// restore into another (the checkpoint key should already rule that
+// out; this is the belt to its suspenders).
 func (p *Pipeline) snapshotTo(w *checkpoint.Writer) {
 	p.drain()
 	p.Rep.SnapshotTo(w)
-	w.Bool(p.Taint != nil)
-	if p.Taint != nil {
-		p.Taint.SnapshotTo(w)
-	}
-	w.Bool(p.Local != nil)
-	if p.Local != nil {
-		p.Local.SnapshotTo(w)
-	}
-	w.Bool(p.Funcs != nil)
-	if p.Funcs != nil {
-		p.Funcs.SnapshotTo(w)
-	}
-	w.Bool(p.Reuse != nil)
-	if p.Reuse != nil {
-		p.Reuse.SnapshotTo(w)
-	}
-	w.Bool(p.VPred != nil)
-	if p.VPred != nil {
-		p.VPred.SnapshotTo(w)
-	}
-	w.Bool(p.VProf != nil)
-	if p.VProf != nil {
-		p.VProf.SnapshotTo(w)
+	for _, a := range p.optional() {
+		w.Bool(a != nil)
+		if a != nil {
+			a.SnapshotTo(w)
+		}
 	}
 }
 
@@ -205,28 +198,16 @@ func (p *Pipeline) restoreFrom(r *checkpoint.Reader) error {
 	if err := p.Rep.RestoreFrom(r); err != nil {
 		return err
 	}
-	type part struct {
-		present bool
-		restore func(*checkpoint.Reader) error
-	}
-	parts := []part{
-		{p.Taint != nil, func(r *checkpoint.Reader) error { return p.Taint.RestoreFrom(r) }},
-		{p.Local != nil, func(r *checkpoint.Reader) error { return p.Local.RestoreFrom(r) }},
-		{p.Funcs != nil, func(r *checkpoint.Reader) error { return p.Funcs.RestoreFrom(r) }},
-		{p.Reuse != nil, func(r *checkpoint.Reader) error { return p.Reuse.RestoreFrom(r) }},
-		{p.VPred != nil, func(r *checkpoint.Reader) error { return p.VPred.RestoreFrom(r) }},
-		{p.VProf != nil, func(r *checkpoint.Reader) error { return p.VProf.RestoreFrom(r) }},
-	}
-	for _, pt := range parts {
+	for _, a := range p.optional() {
 		present := r.Bool()
 		if r.Err() != nil {
 			return r.Err()
 		}
-		if present != pt.present {
+		if present != (a != nil) {
 			return checkpoint.ErrMalformed
 		}
 		if present {
-			if err := pt.restore(r); err != nil {
+			if err := a.RestoreFrom(r); err != nil {
 				return err
 			}
 		}
@@ -276,13 +257,10 @@ func (ck *ckState) atBoundary(phase string, retired, done uint64) {
 // due reports whether the policy calls for a snapshot at this retire
 // count.
 func (ck *ckState) due(retired uint64) bool {
-	if every := ck.policy.Every; every > 0 && retired >= ck.lastRetired+every {
-		return true
+	if every := ck.policy.Every; every > 0 {
+		return retired >= ck.lastRetired+every
 	}
-	if iv := ck.policy.interval(); iv > 0 && time.Since(ck.lastAt) >= iv {
-		return true
-	}
-	return false
+	return time.Since(ck.lastAt) >= DefaultCheckpointInterval
 }
 
 // maybeWrite snapshots at a chunk boundary when the policy says one

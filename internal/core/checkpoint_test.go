@@ -9,6 +9,7 @@ package core_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -16,8 +17,12 @@ import (
 
 	"repro/internal/checkpoint"
 	"repro/internal/core"
+	"repro/internal/isa"
+	"repro/internal/local"
 	"repro/internal/minic"
 	"repro/internal/program"
+	"repro/internal/repetition"
+	"repro/internal/vprofile"
 )
 
 // checkpointTestProgram runs ~1.6M instructions so the run crosses
@@ -255,52 +260,101 @@ func TestCorruptSnapshotFallsBackToFreshRun(t *testing.T) {
 }
 
 // TestMismatchedPipelineRejectsResume restores a snapshot taken with
-// every observer enabled into a run with the taint analysis disabled:
-// the presence flags must reject it (the checkpoint key normally rules
-// this out; the snapshot body is the second line of defense).
+// every observer enabled into runs it does not fit: the snapshot body
+// must reject it (the checkpoint key normally rules this out; the body
+// is the second line of defense), and the run must start fresh.
 func TestMismatchedPipelineRejectsResume(t *testing.T) {
 	im := checkpointTestImage(t)
-	store, err := checkpoint.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const key = "abc123"
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	cfg := checkpointTestConfig()
-	cfg.Checkpoint = &core.CheckpointPolicy{
-		Store: store, Key: key, Every: 1,
-		Notify: func(ev core.CheckpointEvent) { cancel() },
-	}
-	if _, err := core.Run(ctx, im, nil, "ckpt", cfg); err == nil {
-		t.Fatal("interrupted run did not error")
-	}
+	// longer is the same program with one more (never executed) text
+	// word, so every per-PC table it sizes is one entry longer.
+	longer := *im
+	longer.Text = append(slices.Clone(im.Text), isa.Inst{})
+	noTaint := checkpointTestConfig()
+	noTaint.DisableTaint = true
+	for _, tc := range []struct {
+		name string
+		im   *program.Image
+		cfg  core.Config
+	}{
+		{"taint disabled", im, noTaint},
+		{"text one word longer", &longer, checkpointTestConfig()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store, err := checkpoint.Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			const key = "abc123"
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cfg := checkpointTestConfig()
+			cfg.Checkpoint = &core.CheckpointPolicy{
+				Store: store, Key: key, Every: 1,
+				Notify: func(ev core.CheckpointEvent) { cancel() },
+			}
+			if _, err := core.Run(ctx, im, nil, "ckpt", cfg); err == nil {
+				t.Fatal("interrupted run did not error")
+			}
 
-	cfg2 := checkpointTestConfig()
-	cfg2.DisableTaint = true
-	straight, err := core.Run(context.Background(), im, nil, "ckpt", cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
+			straight, err := core.Run(context.Background(), tc.im, nil, "ckpt", tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	cfg3 := checkpointTestConfig()
-	cfg3.DisableTaint = true
-	var resumed bool
-	cfg3.Checkpoint = &core.CheckpointPolicy{
-		Store: store, Key: key, Resume: true,
-		Notify: func(ev core.CheckpointEvent) { resumed = resumed || ev.Resumed },
+			cfg2 := tc.cfg
+			var resumed bool
+			cfg2.Checkpoint = &core.CheckpointPolicy{
+				Store: store, Key: key, Resume: true,
+				Notify: func(ev core.CheckpointEvent) { resumed = resumed || ev.Resumed },
+			}
+			rep, err := core.Run(context.Background(), tc.im, nil, "ckpt", cfg2)
+			if err != nil {
+				t.Fatalf("fallback run failed: %v", err)
+			}
+			if resumed {
+				t.Error("mismatched snapshot was resumed from")
+			}
+			if store.Stats.ResumeRejected.Value() != 1 {
+				t.Errorf("ResumeRejected = %d, want 1", store.Stats.ResumeRejected.Value())
+			}
+			if !bytes.Equal(canonical(t, rep), canonical(t, straight)) {
+				t.Error("fallback run diverged from a fresh run with the same config")
+			}
+		})
 	}
-	rep, err := core.Run(context.Background(), im, nil, "ckpt", cfg3)
-	if err != nil {
-		t.Fatalf("fallback run failed: %v", err)
+}
+
+// TestPerPCTablesRejectOtherTextLength restores the snapshot of each
+// analysis with a per-PC table into a fresh one built from the same
+// image, then from an image one text word longer: the tables are sized
+// from the image, so only the first fits. (A whole-pipeline resume
+// stops at the census, the first table in the body, before it reads the
+// others.)
+func TestPerPCTablesRejectOtherTextLength(t *testing.T) {
+	im := checkpointTestImage(t)
+	longer := *im
+	longer.Text = append(slices.Clone(im.Text), isa.Inst{})
+	type table interface {
+		SnapshotTo(w *checkpoint.Writer)
+		RestoreFrom(r *checkpoint.Reader) error
 	}
-	if resumed {
-		t.Error("mismatched snapshot was resumed from")
-	}
-	if store.Stats.ResumeRejected.Value() != 1 {
-		t.Errorf("ResumeRejected = %d, want 1", store.Stats.ResumeRejected.Value())
-	}
-	if !bytes.Equal(canonical(t, rep), canonical(t, straight)) {
-		t.Error("fallback run diverged from a fresh run with the same config")
+	for _, tc := range []struct {
+		name string
+		mk   func(*program.Image) table
+	}{
+		{"repetition", func(im *program.Image) table { return repetition.NewTracker(im.StaticInstructions()) }},
+		{"local", func(im *program.Image) table { return local.New(im) }},
+		{"vprofile", func(im *program.Image) table { return vprofile.New(im.StaticInstructions()) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var w checkpoint.Writer
+			tc.mk(im).SnapshotTo(&w)
+			if err := tc.mk(im).RestoreFrom(checkpoint.NewReader(w.Bytes())); err != nil {
+				t.Fatalf("restore into the same image: %v", err)
+			}
+			if err := tc.mk(&longer).RestoreFrom(checkpoint.NewReader(w.Bytes())); !errors.Is(err, checkpoint.ErrMalformed) {
+				t.Errorf("restore into a longer text: err = %v, want ErrMalformed", err)
+			}
+		})
 	}
 }

@@ -191,7 +191,8 @@ func newBatch() *batch {
 }
 
 // stage is one named observer pass of the batched pipeline; the name
-// is used for per-observer cost attribution in RunMetrics.
+// is used for per-observer cost attribution in RunMetrics. The census
+// is stage 0: the passes after it read the verdicts it fills in.
 type stage struct {
 	name   string
 	run    func(b *batch)
@@ -211,8 +212,9 @@ const (
 )
 
 // Pipeline dispatches simulator events to the enabled analyses in the
-// order the measurements require: the repetition verdict for each
-// instruction feeds the category analyses and the reuse comparison.
+// order the measurements require: the census pass (stage 0) fills in
+// the repetition verdict for each instruction, which feeds the category
+// analyses and the reuse comparison.
 //
 // Dispatch is batched and observer-major: events buffer into a batch
 // (a copy each — the simulator reuses its Event), and a flush runs
@@ -244,14 +246,12 @@ type Pipeline struct {
 	// Observer cost attribution: when sampleEvery > 0, one flush in
 	// every sampleEvery is timed per observer pass (samples counts the
 	// events those flushes covered, totalEvs the whole stream, so the
-	// cost report extrapolates); repNS covers the repetition tracker
-	// (which runs before the stages to produce the verdicts).
+	// cost report extrapolates).
 	stages      []stage
 	sampleEvery uint64
 	flushes     uint64
 	samples     uint64
 	totalEvs    uint64
-	repNS       time.Duration
 
 	// Observer helper (helper.go): h is set while one is armed.
 	// helperNames lists the stages a helper ran; helperWaits and
@@ -267,27 +267,17 @@ type Pipeline struct {
 // dataflow state (taint tags, local frames, call stacks) still
 // propagates so the analyses are correct when the window opens, but no
 // statistics accumulate and no instance buffers fill — the paper's
-// skip-then-measure methodology.
+// skip-then-measure methodology. The window state travels on each
+// batch (flush stamps it), and the passes hand it to their analyses.
 func (p *Pipeline) SetCounting(on bool) {
 	p.drain() // buffered events observe under the window they retired in
 	p.counting = on
-	if p.Taint != nil {
-		p.Taint.Counting = on
-	}
-	if p.Local != nil {
-		p.Local.Counting = on
-	}
-	if p.Funcs != nil {
-		p.Funcs.Counting = on
-	}
 }
 
 // NewPipeline builds the analysis pipeline for an image.
 func NewPipeline(im *program.Image, cfg Config) *Pipeline {
-	p := &Pipeline{Rep: repetition.NewTracker()}
-	// Pre-size the census's dense per-PC table to the text segment so
-	// the hot path never grows it.
-	p.Rep.SetTextBounds(program.TextBase, im.StaticInstructions())
+	words := im.StaticInstructions()
+	p := &Pipeline{Rep: repetition.NewTracker(words)}
 	if cfg.MaxInstances > 0 {
 		p.Rep.MaxInstances = cfg.MaxInstances
 	}
@@ -306,12 +296,23 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	// loading the Pipeline on every event would share a cache line with
 	// the run goroutine's batch writes whenever the allocator placed the
 	// Pipeline off a line boundary (DESIGN.md §15).
+	rep := p.Rep
+	add(rep.Name(), onRun, func(b *batch) {
+		if !b.counting {
+			return
+		}
+		for i := range b.evs {
+			b.vers[i] = rep.Observe(&b.evs[i])
+		}
+	})
+	// The dataflow analyses run even while the window is closed: their
+	// Counting flags, set from the batch, gate the statistics, not the
+	// propagation.
 	if !cfg.DisableTaint {
-		// Dataflow analyses run even while the window is closed (their
-		// Counting flags gate the statistics, not the propagation).
 		ta := taint.New(im)
 		p.Taint = ta
 		add(ta.Name(), onRun, func(b *batch) {
+			ta.Counting = b.counting
 			for i := range b.evs {
 				ta.Observe(&b.evs[i], b.vers[i])
 			}
@@ -321,6 +322,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 		lo := local.New(im)
 		p.Local = lo
 		add(lo.Name(), onHelper, func(b *batch) {
+			lo.Counting = b.counting
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
@@ -341,6 +343,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 		fa := funcanal.New(im)
 		p.Funcs = fa
 		add(fa.Name(), onRun, func(b *batch) {
+			fa.Counting = b.counting
 			ei, ci, ri := 0, 0, 0
 			for _, k := range b.kinds {
 				switch k {
@@ -382,8 +385,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 		})
 	}
 	if !cfg.DisableVProf {
-		vf := vprofile.New()
-		vf.SetTextBounds(program.TextBase, im.StaticInstructions())
+		vf := vprofile.New(words)
 		p.VProf = vf
 		add(vf.Name(), onHelper, func(b *batch) {
 			if !b.counting {
@@ -423,14 +425,14 @@ func (p *Pipeline) OnInst(ev *cpu.Event) {
 	}
 }
 
-// flush runs every enabled analysis over the buffered batch, in the
-// order the per-event dispatch used: the census pass first (producing
-// the verdict for each instruction), then each stage. With a helper
-// armed it runs the run-goroutine stages and hands the batch, verdicts
-// included, to the helper for the rest; it first raises a panic the
-// helper recovered. Once more CPUs are claimed than GOMAXPROCS it drains
-// the helper, raising a panic from the batches still queued, and gives
-// the helper up.
+// flush runs every enabled analysis over the buffered batch, stage by
+// stage in the order the per-event dispatch used: the census first
+// (producing the verdict for each instruction), then the rest. With a
+// helper armed it runs the run-goroutine stages and hands the batch,
+// verdicts included, to the helper for the rest; it first raises a panic
+// the helper recovered. Once more CPUs are claimed than GOMAXPROCS it
+// drains the helper, raising a panic from the batches still queued, and
+// gives the helper up.
 func (p *Pipeline) flush() {
 	b := &p.b
 	if len(b.kinds) == 0 {
@@ -452,16 +454,6 @@ func (p *Pipeline) flush() {
 	if b.timed {
 		p.samples += uint64(len(b.evs))
 		now = time.Now()
-	}
-	if b.counting {
-		for i := range b.evs {
-			b.vers[i] = p.Rep.Observe(&b.evs[i])
-		}
-	}
-	if b.timed {
-		t := time.Now()
-		p.repNS += t.Sub(now)
-		now = t
 	}
 	for i := range p.stages {
 		st := &p.stages[i]
@@ -526,18 +518,13 @@ func (p *Pipeline) ObserverCosts() []obs.ObserverCost {
 	if p.samples == 0 {
 		return nil
 	}
-	out := []obs.ObserverCost{{Name: p.Rep.Name(), SampledNS: p.repNS.Nanoseconds()}}
-	for i := range p.stages {
-		out = append(out, obs.ObserverCost{
-			Name:      p.stages[i].name,
-			SampledNS: p.stages[i].ns.Nanoseconds(),
-		})
-	}
 	scale := float64(p.totalEvs) / float64(p.samples)
+	out := make([]obs.ObserverCost, len(p.stages))
 	var total int64
-	for i := range out {
-		out[i].Samples = p.samples
-		out[i].EstimatedNS = int64(float64(out[i].SampledNS) * scale)
+	for i, st := range p.stages {
+		ns := st.ns.Nanoseconds()
+		out[i] = obs.ObserverCost{Name: st.name, Samples: p.samples, SampledNS: ns,
+			EstimatedNS: int64(float64(ns) * scale)}
 		total += out[i].EstimatedNS
 	}
 	if total > 0 {

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -277,16 +278,19 @@ func TestRunMetricsCollected(t *testing.T) {
 		t.Errorf("exec path = %q (%d blocks, %d fallback steps), want translated with blocks",
 			m.ExecPath, m.BlocksTranslated, m.FallbackSteps)
 	}
-	// Observer attribution: repetition plus the six analyses.
-	if len(m.Observers) != 7 {
-		t.Errorf("got %d observer costs: %+v", len(m.Observers), m.Observers)
-	}
+	// Observer attribution: the census, then the six analyses, in
+	// pipeline order.
+	var observers []string
 	var share float64
 	for _, o := range m.Observers {
 		if o.Samples == 0 {
 			t.Errorf("observer %s never sampled", o.Name)
 		}
+		observers = append(observers, o.Name)
 		share += o.SharePct
+	}
+	if want := []string{"repetition", "taint", "local", "funcanal", "reuse", "vpred", "vprofile"}; !slices.Equal(observers, want) {
+		t.Errorf("observer costs for %v, want %v", observers, want)
 	}
 	if share < 99.9 || share > 100.1 {
 		t.Errorf("observer shares sum to %.2f", share)

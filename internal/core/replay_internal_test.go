@@ -97,7 +97,6 @@ func TestHelperStagesReadNoPipelineField(t *testing.T) {
 	b.counting = true
 
 	p := NewPipeline(im, Config{})
-	p.SetCounting(true)
 	stages, lo, rb, vp, vf := p.stages, p.Local, p.Reuse, p.VPred, p.VProf
 	*p = Pipeline{}
 	var ran []string
@@ -132,6 +131,28 @@ func TestHelperStagesReadNoPipelineField(t *testing.T) {
 	}
 	if vf.Result().Sites == 0 {
 		t.Error("vprofile saw none of the batch")
+	}
+}
+
+// TestPassesTakeWindowFromBatch pins where the window state lives:
+// SetCounting stamps only the pipeline, and each dataflow pass hands its
+// analysis the state of the batch it observes.
+func TestPassesTakeWindowFromBatch(t *testing.T) {
+	p := NewPipeline(replayTestImage(t), Config{})
+	p.SetCounting(true)
+	if p.Taint.Counting || p.Local.Counting || p.Funcs.Counting {
+		t.Fatal("SetCounting wrote an analysis's Counting flag")
+	}
+	for _, on := range []bool{true, false} {
+		b := newBatch()
+		b.counting = on
+		for i := range p.stages {
+			p.stages[i].run(b)
+		}
+		if p.Taint.Counting != on || p.Local.Counting != on || p.Funcs.Counting != on {
+			t.Errorf("batch counting %v: taint/local/funcanal Counting = %v/%v/%v",
+				on, p.Taint.Counting, p.Local.Counting, p.Funcs.Counting)
+		}
 	}
 }
 

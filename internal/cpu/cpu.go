@@ -167,11 +167,9 @@ type Machine struct {
 	Halted   bool
 	ExitCode int32
 
-	// Output receives bytes written by print/putchar syscalls.
+	// Output receives bytes written by print/putchar syscalls, up to
+	// maxOutput bytes; output beyond it is discarded.
 	Output bytes.Buffer
-	// MaxOutput bounds Output growth (0 = 1 MiB default); beyond it
-	// output is counted but discarded.
-	MaxOutput int
 
 	input []byte
 	inPos int
@@ -215,9 +213,6 @@ func (m *Machine) Attach(o Observer) {
 	m.callObs, _ = o.(CallObserver)
 	m.sink, _ = o.(EventSink)
 }
-
-// InputRemaining returns the number of unread input bytes.
-func (m *Machine) InputRemaining() int { return len(m.input) - m.inPos }
 
 // Run executes at most max instructions (all remaining if max == 0),
 // returning the number retired. It stops early when the program exits

@@ -554,7 +554,7 @@ loop:
 		jr $ra
 		.endfunc
 	`, "")
-	obs := &trackerObserver{tr: repetition.NewTracker(), verdicts: make(map[uint32][]bool)}
+	obs := &trackerObserver{tr: repetition.NewTracker(m.Image.StaticInstructions()), verdicts: make(map[uint32][]bool)}
 	m.Attach(obs)
 	if _, err := m.Run(0); err != nil {
 		t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 // registers, PC, heap break, retire count, retirement counters, halt
 // state, accumulated output, the input cursor, and every memory page.
 // Configuration that is re-derived from the workload on resume (the
-// image, the input bytes, observer attachments, MaxOutput/NoTranslate)
+// image, the input bytes, observer attachments, NoTranslate)
 // is deliberately absent — the checkpoint key already pins it — and so
 // are the Trans counters, which describe execution, not state.
 func (m *Machine) SnapshotTo(w *checkpoint.Writer) {

@@ -64,12 +64,11 @@ func (m *Machine) syscall(ev *Event) error {
 	return nil
 }
 
+// maxOutput bounds the Output a machine keeps.
+const maxOutput = 1 << 20
+
 func (m *Machine) emit(b []byte) {
-	limit := m.MaxOutput
-	if limit == 0 {
-		limit = 1 << 20
-	}
-	if m.Output.Len()+len(b) <= limit {
+	if m.Output.Len()+len(b) <= maxOutput {
 		m.Output.Write(b)
 	}
 }

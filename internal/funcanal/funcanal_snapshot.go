@@ -11,8 +11,8 @@ import (
 // order — byPC by entry PC, each tuple table inverted into index
 // order (preserving insertion order, which tupleCounts depends on),
 // per-argument value sets sorted — so the same state always produces
-// the same bytes. Counting is run-phase state reapplied by the core
-// pipeline on resume.
+// the same bytes. Counting is run-phase state the core pipeline's pass
+// sets from every batch, so it is not serialized here.
 func (a *Analysis) SnapshotTo(w *checkpoint.Writer) {
 	w.U32(a.curSP)
 	w.U64(a.totalCalls)

@@ -263,6 +263,18 @@ func OpKind(op Op) Kind {
 	return KindSys
 }
 
+// HasImmediateInput reports whether op consumes an immediate field as a
+// data input (shift amounts and j/jal targets included), so the dataflow
+// analyses count the program-internal slice among its inputs.
+func HasImmediateInput(op Op) bool {
+	switch OpKind(op) {
+	case KindALUImm, KindLUI, KindShift, KindJump:
+		return true
+	default:
+		return false
+	}
+}
+
 func classifyOp(op Op) Kind {
 	switch op {
 	case OpADDU, OpSUBU, OpAND, OpOR, OpXOR, OpNOR, OpSLT, OpSLTU, OpSLLV, OpSRLV, OpSRAV:

@@ -106,7 +106,7 @@ func OpenJournal(dir string) (*Journal, []Record, error) {
 
 	// Compact-on-open also truncates the torn tail as a side effect:
 	// the rewritten file contains only whole, checksummed frames.
-	if err := j.compactLocked(live); err != nil {
+	if err := j.compact(live); err != nil {
 		return nil, nil, err
 	}
 	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
@@ -134,26 +134,9 @@ func (j *Journal) Append(rec Record) error {
 	return nil
 }
 
-// Compact rewrites the journal to hold exactly the given records,
-// atomically (temp+rename). The Manager calls it when terminal jobs
-// pile up; OpenJournal calls it to collapse replay history.
-func (j *Journal) Compact(live []Record) error {
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	if err := j.compactLocked(live); err != nil {
-		return err
-	}
-	f, err := os.OpenFile(j.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("jobs: %w", err)
-	}
-	j.f = f
-	return nil
-}
-
-func (j *Journal) compactLocked(live []Record) error {
+// compact rewrites the journal to hold exactly the given records,
+// atomically (temp+rename).
+func (j *Journal) compact(live []Record) error {
 	tmp, err := os.CreateTemp(j.dir, journalName+"-*"+tmpSuffix)
 	if err != nil {
 		return fmt.Errorf("jobs: journal compact: %w", err)

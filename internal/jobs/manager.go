@@ -32,11 +32,13 @@ var (
 
 // Defaults, overridable via Options.
 const (
-	DefaultRetries    = 3
-	DefaultWorkers    = 2
-	DefaultBackoff    = 500 * time.Millisecond
-	DefaultMaxBackoff = time.Minute
+	DefaultRetries = 3
+	DefaultWorkers = 2
+	DefaultBackoff = 500 * time.Millisecond
 )
+
+// maxBackoff caps every retry delay.
+const maxBackoff = time.Minute
 
 // Options configures a Manager.
 type Options struct {
@@ -64,10 +66,9 @@ type Options struct {
 	// Workers is the number of concurrent job executors (0 =
 	// DefaultWorkers). The Runner's Gate still applies underneath.
 	Workers int
-	// Backoff and MaxBackoff shape the retry schedule:
-	// Backoff·2^(attempt-1) ±25% jitter, capped at MaxBackoff.
-	Backoff    time.Duration
-	MaxBackoff time.Duration
+	// Backoff shapes the retry schedule: Backoff·2^(attempt-1) ±25%
+	// jitter, capped at one minute (0 = DefaultBackoff).
+	Backoff time.Duration
 	// RunConfig is the serving process's run configuration. Every
 	// attempt, and every ReportJSON recompute, runs a copy of it with
 	// the spec's measurement fields written over it (Spec.Config), so
@@ -75,8 +76,6 @@ type Options struct {
 	// dispatch path, health counters, run registry — as the server's
 	// synchronous requests.
 	RunConfig core.Config
-	// Registry receives job_* counters (nil = obs.Default).
-	Registry *obs.Registry
 	// Log receives job lifecycle lines (nil = discarded).
 	Log *slog.Logger
 
@@ -151,9 +150,6 @@ func Open(opts Options) (*Manager, error) {
 	}
 	if opts.Backoff <= 0 {
 		opts.Backoff = DefaultBackoff
-	}
-	if opts.MaxBackoff <= 0 {
-		opts.MaxBackoff = DefaultMaxBackoff
 	}
 	if opts.now == nil {
 		opts.now = time.Now
@@ -612,16 +608,14 @@ func permanent(err error) bool {
 }
 
 // backoffMS is the retry delay in ms for the n-th retry (n ≥ 1):
-// Backoff·2^(n-1), ±25% jitter, capped at MaxBackoff. Jitter spreads
-// the thundering herd of jobs re-enqueued together by a drain.
+// Backoff·2^(n-1), ±25% jitter, capped at maxBackoff. Jitter
+// spreads the thundering herd of jobs re-enqueued together by a drain.
 func (m *Manager) backoffMS(n int) int64 {
 	d := m.opts.Backoff
-	for i := 1; i < n && d < m.opts.MaxBackoff; i++ {
+	for i := 1; i < n && d < maxBackoff; i++ {
 		d *= 2
 	}
-	if d > m.opts.MaxBackoff {
-		d = m.opts.MaxBackoff
-	}
+	d = min(d, maxBackoff)
 	ms := d.Milliseconds()
 	if ms <= 0 {
 		ms = 1

@@ -165,8 +165,9 @@ type Analysis struct {
 	repeated [NumCats]uint64
 
 	peByFunc map[string]*perFuncPE
-	// loadSites is dense over the text segment: loadSites[(pc-TextBase)>>2]
-	// (nil = load site never observed).
+	// loadSites is dense over the text segment, sized once from the
+	// image: loadSites[(pc-program.TextBase)>>2] (nil = load site never
+	// observed).
 	loadSites []*loadSite
 }
 
@@ -386,7 +387,7 @@ func (a *Analysis) classifyTag(ev *cpu.Event, fr *frame) Cat {
 		if ev.Src2 >= 0 {
 			t = maxTag(t, fr.regs[ev.Src2])
 		}
-		if hasImmediateInput(op) || (ev.Src1 < 0 && ev.Src2 < 0) {
+		if isa.HasImmediateInput(op) || (ev.Src1 < 0 && ev.Src2 < 0) {
 			t = maxTag(t, lInternal)
 		}
 		fr.setReg(ev.Dst, t)
@@ -403,15 +404,6 @@ func (fr *frame) setReg(r int16, t ltag) {
 	}
 }
 
-func hasImmediateInput(op isa.Op) bool {
-	switch isa.OpKind(op) {
-	case isa.KindALUImm, isa.KindLUI, isa.KindShift, isa.KindJump:
-		return true
-	default:
-		return false
-	}
-}
-
 // isDataSegAddrHigh reports whether a lui immediate forms the high
 // half of a data-segment address.
 func (a *Analysis) isDataSegAddrHigh(imm uint32) bool {
@@ -422,17 +414,7 @@ func (a *Analysis) isDataSegAddrHigh(imm uint32) bool {
 
 // trackLoad records the loaded value for Figure 6.
 func (a *Analysis) trackLoad(ev *cpu.Event) {
-	if ev.PC < program.TextBase {
-		return // not a text PC; unreachable for retired instructions
-	}
-	idx := int((ev.PC - program.TextBase) >> 2)
-	if idx >= len(a.loadSites) {
-		// A retired PC past the image's text (not reachable in
-		// practice); grow rather than lose the site.
-		grown := make([]*loadSite, idx+1)
-		copy(grown, a.loadSites)
-		a.loadSites = grown
-	}
+	idx := (ev.PC - program.TextBase) >> 2
 	site := a.loadSites[idx]
 	if site == nil {
 		site = &loadSite{values: make(map[uint32]uint32, 4)}

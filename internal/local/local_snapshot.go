@@ -73,7 +73,8 @@ func (a *Analysis) restoreFrame(r *checkpoint.Reader, fr *frame) error {
 // activation stack and root frame, the category counters, the Table 9
 // table in name order, and each observed load site's value histogram
 // inverted into index order (the insertion order counts[] depends
-// on). Counting is reapplied by the core pipeline on resume.
+// on). Counting is run-phase state the core pipeline's pass sets from
+// every batch, so it is not serialized here.
 func (a *Analysis) SnapshotTo(w *checkpoint.Writer) {
 	a.shadow.SnapshotTo(w)
 	snapshotFrame(w, &a.root)
@@ -136,11 +137,6 @@ func (a *Analysis) SnapshotTo(w *checkpoint.Writer) {
 	}
 }
 
-// maxSnapshotSites bounds the dense load-site table length a snapshot
-// may claim (matches the largest text segment the tracker tables
-// accept).
-const maxSnapshotSites = 1 << 22
-
 // RestoreFrom rebuilds the analysis from a snapshot.
 func (a *Analysis) RestoreFrom(r *checkpoint.Reader) error {
 	if err := a.shadow.RestoreFrom(r); err != nil {
@@ -187,10 +183,12 @@ func (a *Analysis) RestoreFrom(r *checkpoint.Reader) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if tableLen > maxSnapshotSites {
+	if tableLen != len(a.loadSites) {
+		// The table spans the image's text segment: a snapshot taken
+		// over another image does not fit it.
 		return checkpoint.ErrMalformed
 	}
-	a.loadSites = make([]*loadSite, tableLen)
+	clear(a.loadSites)
 	nsites := r.Count(4 + 4 + 4 + 4 + 1)
 	prev := -1
 	for i := 0; i < nsites; i++ {

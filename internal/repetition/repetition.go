@@ -10,11 +10,11 @@
 // instruction in the measurement window. Two layout decisions keep it
 // fast without changing any statistic:
 //
-//   - Per-PC records live in a dense table indexed by (pc-base)>>2.
-//     Instruction addresses are word-aligned and span the contiguous
-//     text segment, so the direct index replaces a Go map lookup per
-//     retired instruction. SetTextBounds pre-sizes the table; without
-//     it the table grows (and re-bases) on demand.
+//   - Per-PC records live in a dense table indexed by
+//     (pc-program.TextBase)>>2. Instruction addresses are word-aligned
+//     and span the immutable text segment, so the table is sized once,
+//     from the image, and the direct index replaces a Go map lookup per
+//     retired instruction.
 //   - Each record's unique-instance buffer is an open-addressing hash
 //     set over the packed 16-byte instance keys with linear probing,
 //     replacing a per-PC Go map. A slot's occurrence count doubles as
@@ -25,6 +25,7 @@ import (
 	"sort"
 
 	"repro/internal/cpu"
+	"repro/internal/program"
 )
 
 // DefaultMaxInstances matches the paper's per-instruction buffer limit.
@@ -155,64 +156,19 @@ type Tracker struct {
 	// mentioned-but-omitted typed total analysis).
 	Types TypeStats
 
-	// Dense per-PC table: recs[(pc-base)>>2]. A record with dyn == 0
-	// belongs to a never-executed slot.
-	base     uint32
-	haveBase bool
-	recs     []instRecord
+	// Dense per-PC table: recs[(pc-program.TextBase)>>2], one record
+	// per text word. A record with dyn == 0 belongs to a never-executed
+	// slot.
+	recs []instRecord
 
 	totalDyn      uint64
 	totalRepeated uint64
 }
 
-// NewTracker returns a Tracker with the paper's buffer limit.
-func NewTracker() *Tracker {
-	return &Tracker{MaxInstances: DefaultMaxInstances}
-}
-
-// SetTextBounds pre-sizes the dense per-PC table for a text segment of
-// `words` instructions starting at base, eliminating growth checks'
-// work from the hot path. It is a no-op after observation starts.
-func (t *Tracker) SetTextBounds(base uint32, words int) {
-	if t.haveBase || words <= 0 {
-		return
-	}
-	t.base = base
-	t.haveBase = true
-	t.recs = make([]instRecord, words)
-}
-
-// record returns the instRecord for pc, growing (or re-basing) the
-// dense table when pc falls outside it. With SetTextBounds in effect
-// neither slow path runs.
-func (t *Tracker) record(pc uint32) *instRecord {
-	if !t.haveBase {
-		t.base = pc
-		t.haveBase = true
-		t.recs = make([]instRecord, 1)
-		return &t.recs[0]
-	}
-	if pc < t.base {
-		// Re-base: prepend empty records down to pc (rare; only when
-		// execution visits a lower address than any seen before on a
-		// tracker without SetTextBounds).
-		shift := int((t.base - pc) >> 2)
-		grown := make([]instRecord, len(t.recs)+shift)
-		copy(grown[shift:], t.recs)
-		t.recs = grown
-		t.base = pc
-	}
-	idx := int((pc - t.base) >> 2)
-	if idx >= len(t.recs) {
-		if idx < cap(t.recs) {
-			t.recs = t.recs[:idx+1]
-		} else {
-			grown := make([]instRecord, idx+1, 2*idx+1)
-			copy(grown, t.recs)
-			t.recs = grown
-		}
-	}
-	return &t.recs[idx]
+// NewTracker returns a Tracker with the paper's buffer limit for a text
+// segment of words instructions at program.TextBase.
+func NewTracker(words int) *Tracker {
+	return &Tracker{MaxInstances: DefaultMaxInstances, recs: make([]instRecord, words)}
 }
 
 // keyOf builds the instance key for an event. Inputs are the register
@@ -243,7 +199,7 @@ func keyOf(ev *cpu.Event) instKey {
 // Observe classifies one retired instruction, returning whether it is
 // a repeat of a buffered instance.
 func (t *Tracker) Observe(ev *cpu.Event) bool {
-	rec := t.record(ev.PC)
+	rec := &t.recs[(ev.PC-program.TextBase)>>2]
 	rec.dyn++
 	t.totalDyn++
 
@@ -495,10 +451,10 @@ func (t *Tracker) InstanceCoverage(targets []float64) []float64 {
 // PerPC returns the dynamic and repeated counts for one static
 // instruction (testing and drill-down).
 func (t *Tracker) PerPC(pc uint32) (dyn, repeated uint64, ok bool) {
-	if !t.haveBase || pc < t.base {
+	if pc < program.TextBase {
 		return 0, 0, false
 	}
-	idx := int((pc - t.base) >> 2)
+	idx := int((pc - program.TextBase) >> 2)
 	if idx >= len(t.recs) || t.recs[idx].dyn == 0 {
 		return 0, 0, false
 	}

@@ -9,6 +9,10 @@ import (
 	"repro/internal/isa"
 )
 
+// testWords sizes every test tracker's text segment: PCs from
+// 0x400000 to 0x400ffc.
+const testWords = 1024
+
 // ev builds an ALU event at pc with two inputs and an output.
 func ev(pc uint32, in1, in2, out uint32) *cpu.Event {
 	return &cpu.Event{
@@ -26,7 +30,7 @@ func ev(pc uint32, in1, in2, out uint32) *cpu.Event {
 // I1..I7; I2 and I4 are the unique repeatable instances (I3 repeats I2;
 // I5, I6, I7 repeat I4); I1 is unique but never repeated.
 func TestUniqueRepeatableInstancesFigure2(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	seq := []struct {
 		in1, in2, out uint32
 		wantRepeat    bool
@@ -66,7 +70,7 @@ func TestUniqueRepeatableInstancesFigure2(t *testing.T) {
 func TestDifferentOutputsSameInputsNotRepeated(t *testing.T) {
 	// A load reading a changed value: same inputs, different output —
 	// not repeated (Section 2's load example).
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	if tr.Observe(ev(0x400000, 100, 0, 7)) {
 		t.Error("first instance repeated")
 	}
@@ -79,7 +83,7 @@ func TestDifferentOutputsSameInputsNotRepeated(t *testing.T) {
 }
 
 func TestBranchDirectionIsOutput(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	br := func(a, b uint32, taken bool) *cpu.Event {
 		return &cpu.Event{
 			PC:   0x400010,
@@ -100,7 +104,7 @@ func TestBranchDirectionIsOutput(t *testing.T) {
 }
 
 func TestBufferLimit(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	tr.MaxInstances = 4
 	// Fill the buffer with 4 unique instances.
 	for i := uint32(0); i < 4; i++ {
@@ -126,7 +130,7 @@ func TestBufferLimit(t *testing.T) {
 }
 
 func TestStaticCoverage(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	// Two static instructions: one contributing 90 repeats, one 10.
 	for i := 0; i < 91; i++ {
 		tr.Observe(ev(0x400000, 1, 1, 2))
@@ -145,15 +149,15 @@ func TestStaticCoverage(t *testing.T) {
 }
 
 func TestInstanceBuckets(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	// pc A: one unique repeatable instance with 5 repeats.
 	for i := 0; i < 6; i++ {
-		tr.Observe(ev(0xA0, 1, 1, 2))
+		tr.Observe(ev(0x4000a0, 1, 1, 2))
 	}
 	// pc B: three unique repeatable instances, 2 repeats each.
 	for v := uint32(0); v < 3; v++ {
 		for i := 0; i < 3; i++ {
-			tr.Observe(ev(0xB0, v, v, v))
+			tr.Observe(ev(0x4000b0, v, v, v))
 		}
 	}
 	b := tr.InstanceBuckets()
@@ -174,14 +178,14 @@ func TestInstanceBuckets(t *testing.T) {
 }
 
 func TestInstanceCoverage(t *testing.T) {
-	tr := NewTracker()
+	tr := NewTracker(testWords)
 	// One instance with 99 repeats, 9 instances with 1 repeat each.
 	for i := 0; i < 100; i++ {
-		tr.Observe(ev(0xC0, 7, 7, 14))
+		tr.Observe(ev(0x4000c0, 7, 7, 14))
 	}
 	for v := uint32(0); v < 9; v++ {
-		tr.Observe(ev(0xD0, v, v, 2*v))
-		tr.Observe(ev(0xD0, v, v, 2*v))
+		tr.Observe(ev(0x4000d0, v, v, 2*v))
+		tr.Observe(ev(0x4000d0, v, v, 2*v))
 	}
 	// Total repeats = 108; top instance covers 99/108 = 91.7%.
 	cov := tr.InstanceCoverage([]float64{50, 90, 100})
@@ -202,7 +206,7 @@ func TestInstanceCoverage(t *testing.T) {
 func TestCountConservation(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	f := func() bool {
-		tr := NewTracker()
+		tr := NewTracker(testWords)
 		tr.MaxInstances = 8
 		n := 200 + r.Intn(200)
 		var repeats uint64
@@ -240,7 +244,7 @@ func TestCoverageMonotone(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	targets := []float64{10, 25, 50, 75, 90, 99, 100}
 	f := func() bool {
-		tr := NewTracker()
+		tr := NewTracker(testWords)
 		n := 300 + r.Intn(300)
 		for i := 0; i < n; i++ {
 			pc := uint32(0x400000 + 4*r.Intn(20))
@@ -270,7 +274,7 @@ func TestCoverageMonotone(t *testing.T) {
 func TestInstanceCoverageFullTargetExact(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 40; trial++ {
-		tr := NewTracker()
+		tr := NewTracker(testWords)
 		n := 50 + r.Intn(400)
 		for i := 0; i < n; i++ {
 			pc := uint32(0x400000 + 4*r.Intn(9))
@@ -290,81 +294,22 @@ func TestInstanceCoverageFullTargetExact(t *testing.T) {
 	}
 }
 
-// TestDenseTableGrowth exercises the dense per-PC table's on-demand
-// growth: observing PCs in descending order forces the re-base path,
-// ascending order the append path.
-func TestDenseTableGrowth(t *testing.T) {
-	tr := NewTracker()
-	// Descending: each observation re-bases the table.
-	for pc := uint32(0x400040); pc >= 0x400000; pc -= 4 {
-		if tr.Observe(ev(pc, 1, 1, 2)) {
-			t.Fatalf("pc %#x: first observation classified repeated", pc)
-		}
+func TestPerPC(t *testing.T) {
+	tr := NewTracker(testWords)
+	tr.Observe(ev(0x400000, 1, 1, 2))
+	tr.Observe(ev(0x400000, 1, 1, 2))
+	tr.Observe(ev(0x400100, 2, 2, 4))
+	dyn, rep, ok := tr.PerPC(0x400000)
+	if !ok || dyn != 2 || rep != 1 {
+		t.Errorf("PerPC = %d/%d/%v", dyn, rep, ok)
 	}
-	// Ascending far past the end: append growth.
-	for pc := uint32(0x400100); pc <= 0x400200; pc += 8 {
-		tr.Observe(ev(pc, 2, 2, 4))
-	}
-	if got := tr.StaticExecuted(); got != 17+33 {
-		t.Errorf("StaticExecuted = %d, want %d", got, 17+33)
-	}
-	// Every seen PC resolves; gaps and out-of-range PCs do not.
-	if _, _, ok := tr.PerPC(0x400000); !ok {
-		t.Error("lowest pc lost after re-basing")
-	}
+	// Only executed PCs resolve: not a gap between two of them, nor a
+	// PC below the text segment or past the table.
 	if _, _, ok := tr.PerPC(0x400104); ok {
 		t.Error("gap pc should not resolve")
 	}
 	if _, _, ok := tr.PerPC(0x3ffff0); ok {
-		t.Error("pc below base should not resolve")
-	}
-	// Repeats still detected across the growth operations.
-	if !tr.Observe(ev(0x400000, 1, 1, 2)) {
-		t.Error("instance lost during table growth")
-	}
-}
-
-// TestSetTextBounds checks the pre-sized fast path matches the
-// growing path statistic-for-statistic.
-func TestSetTextBounds(t *testing.T) {
-	sized := NewTracker()
-	sized.SetTextBounds(0x400000, 64)
-	grown := NewTracker()
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		pc := uint32(0x400000 + 4*r.Intn(64))
-		v := uint32(r.Intn(9))
-		e := ev(pc, v, v, 3*v)
-		if sized.Observe(e) != grown.Observe(e) {
-			t.Fatalf("verdict diverged at step %d", i)
-		}
-	}
-	if sized.StaticExecuted() != grown.StaticExecuted() ||
-		sized.RepeatedInstructions() != grown.RepeatedInstructions() {
-		t.Errorf("stats diverged: %d/%d vs %d/%d",
-			sized.StaticExecuted(), sized.RepeatedInstructions(),
-			grown.StaticExecuted(), grown.RepeatedInstructions())
-	}
-	c1, _ := sized.UniqueRepeatableInstances()
-	c2, _ := grown.UniqueRepeatableInstances()
-	if c1 != c2 {
-		t.Errorf("unique instances diverged: %d vs %d", c1, c2)
-	}
-	// SetTextBounds after observation starts is a no-op.
-	before := grown.StaticExecuted()
-	grown.SetTextBounds(0, 10_000)
-	if grown.StaticExecuted() != before {
-		t.Error("late SetTextBounds disturbed the table")
-	}
-}
-
-func TestPerPC(t *testing.T) {
-	tr := NewTracker()
-	tr.Observe(ev(0x400000, 1, 1, 2))
-	tr.Observe(ev(0x400000, 1, 1, 2))
-	dyn, rep, ok := tr.PerPC(0x400000)
-	if !ok || dyn != 2 || rep != 1 {
-		t.Errorf("PerPC = %d/%d/%v", dyn, rep, ok)
+		t.Error("pc below TextBase should not resolve")
 	}
 	if _, _, ok := tr.PerPC(0x999999); ok {
 		t.Error("PerPC of unseen pc should fail")

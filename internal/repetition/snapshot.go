@@ -1,15 +1,13 @@
 package repetition
 
-import "repro/internal/checkpoint"
-
-// Snapshot sanity bounds: a dense per-PC table past this length or an
-// overflow table past this size is not something the tracker can
-// produce from a real text segment, so a snapshot claiming one is
-// rejected rather than allocated.
-const (
-	maxSnapshotRecords = 1 << 22
-	maxSnapshotSlots   = 1 << 23
+import (
+	"repro/internal/checkpoint"
+	"repro/internal/program"
 )
+
+// maxSnapshotSlots bounds an overflow table's size: a snapshot claiming
+// a larger one is rejected rather than allocated.
+const maxSnapshotSlots = 1 << 23
 
 // encodedSlotLen is the wire size of one islot.
 const encodedSlotLen = 4*4 + 4
@@ -36,11 +34,12 @@ func readSlot(r *checkpoint.Reader, s *islot) {
 }
 
 // SnapshotTo writes the complete census state: the type census, the
-// dense table's geometry, and every executed record including its
-// exact instance-buffer layout (inline tier, overflow table with slot
-// positions, last-match cache). Preserving layout — not just contents
-// — makes a resumed tracker behaviorally identical to the
-// uninterrupted one, probe chains and all.
+// dense table's geometry (sized, its base, its length), and every
+// executed record including its exact instance-buffer layout (inline
+// tier, overflow table with slot positions, last-match cache).
+// Preserving layout — not just contents — makes a resumed tracker
+// behaviorally identical to the uninterrupted one, probe chains and
+// all.
 func (t *Tracker) SnapshotTo(w *checkpoint.Writer) {
 	for _, v := range t.Types.Overall {
 		w.U64(v)
@@ -48,8 +47,8 @@ func (t *Tracker) SnapshotTo(w *checkpoint.Writer) {
 	for _, v := range t.Types.Repeated {
 		w.U64(v)
 	}
-	w.Bool(t.haveBase)
-	w.U32(t.base)
+	w.Bool(true)
+	w.U32(program.TextBase)
 	w.U64(t.totalDyn)
 	w.U64(t.totalRepeated)
 	w.U32(uint32(len(t.recs)))
@@ -85,11 +84,13 @@ func (t *Tracker) SnapshotTo(w *checkpoint.Writer) {
 }
 
 // RestoreFrom rebuilds the census from a snapshot, validating every
-// structural invariant (indices strictly increasing and in range,
-// overflow tables power-of-two sized, last-match index in bounds) so
-// a malformed body yields an error, never a panic or a corrupt
-// tracker. MaxInstances is configuration, not state — the caller
-// constructs the tracker from the same run config before restoring.
+// structural invariant (the table geometry the tracker was built with,
+// indices strictly increasing and in range, overflow tables
+// power-of-two sized, last-match index in bounds) so a malformed body,
+// or one taken over another text segment, yields an error, never a
+// panic or a corrupt tracker. MaxInstances and the table size are
+// configuration, not state — the caller constructs the tracker from the
+// same image and run config before restoring.
 func (t *Tracker) RestoreFrom(r *checkpoint.Reader) error {
 	for i := range t.Types.Overall {
 		t.Types.Overall[i] = r.U64()
@@ -97,18 +98,18 @@ func (t *Tracker) RestoreFrom(r *checkpoint.Reader) error {
 	for i := range t.Types.Repeated {
 		t.Types.Repeated[i] = r.U64()
 	}
-	t.haveBase = r.Bool()
-	t.base = r.U32()
+	sized := r.Bool()
+	base := r.U32()
 	t.totalDyn = r.U64()
 	t.totalRepeated = r.U64()
 	tableLen := int(r.U32())
 	if err := r.Err(); err != nil {
 		return err
 	}
-	if tableLen > maxSnapshotRecords || (!t.haveBase && tableLen != 0) {
+	if !sized || base != program.TextBase || tableLen != len(t.recs) {
 		return checkpoint.ErrMalformed
 	}
-	t.recs = make([]instRecord, tableLen)
+	clear(t.recs)
 	n := r.Count(minEncodedRecordLen)
 	prev := -1
 	for i := 0; i < n; i++ {

@@ -52,7 +52,6 @@ func (s *Server) OpenJobs(jc JobsConfig) error {
 		Workers:         jc.Workers,
 		Backoff:         jc.Backoff,
 		RunConfig:       s.cfg.RunConfig,
-		Registry:        s.reg,
 		Log:             s.log,
 	})
 	if err != nil {

@@ -387,9 +387,7 @@ func (s *Server) Serve(ctx context.Context, l net.Listener) error {
 			// resumes them from their last checkpoint.
 			s.jobs.Drain()
 		}
-		if s.log != nil {
-			s.log.Info("server stopped", "cause", context.Cause(ctx))
-		}
+		s.log.Info("server stopped", "cause", context.Cause(ctx))
 		return err
 	}
 }
@@ -540,9 +538,7 @@ func (s *Server) fail(w http.ResponseWriter, r *http.Request, err error, status 
 		}
 	}
 	s.reg.Counter("server_errors").Inc()
-	if s.log != nil {
-		s.log.Warn("request failed", "path", r.URL.Path, "status", status, "err", err)
-	}
+	s.log.Warn("request failed", "path", r.URL.Path, "status", status, "err", err)
 	http.Error(w, err.Error(), status)
 }
 
@@ -635,9 +631,7 @@ func (s *Server) serveStale(w http.ResponseWriter, r *http.Request, name string,
 		return false
 	}
 	s.reg.Counter("server_stale_served").Inc()
-	if s.log != nil {
-		s.log.Warn("serving stale", "workload", name, "cause", cause)
-	}
+	s.log.Warn("serving stale", "workload", name, "cause", cause)
 	w.Header().Set("X-Instrep-Stale", "true")
 	writeBytes(w, data)
 	return true

@@ -3,9 +3,9 @@ package taint
 import "repro/internal/checkpoint"
 
 // SnapshotTo writes the analysis state: register tags, the category
-// counters, and the shadow tag space. Counting is run-phase state
-// owned by the core pipeline (SetCounting is reapplied on resume), so
-// it is not serialized here.
+// counters, and the shadow tag space. Counting is run-phase state the
+// core pipeline's pass sets from every batch, so it is not serialized
+// here.
 func (a *Analysis) SnapshotTo(w *checkpoint.Writer) {
 	for _, t := range a.regs {
 		w.U8(byte(t))

@@ -81,20 +81,6 @@ func maxTag(a, b Tag) Tag {
 	return b
 }
 
-// hasImmediateInput reports whether the operation consumes an
-// immediate field as a data input (so the program-internal slice
-// participates in classification).
-func hasImmediateInput(op isa.Op) bool {
-	switch isa.OpKind(op) {
-	case isa.KindALUImm, isa.KindLUI, isa.KindShift:
-		return true
-	case isa.KindJump:
-		return true // j/jal targets are program text
-	default:
-		return false
-	}
-}
-
 // Observe categorizes one retired instruction (repeated says whether
 // the repetition tracker classified it as a repeat) and propagates
 // tags.
@@ -143,7 +129,7 @@ func (a *Analysis) Observe(ev *cpu.Event, repeated bool) {
 		if ev.Src2 >= 0 {
 			tag = maxTag(tag, a.regs[ev.Src2])
 		}
-		if hasImmediateInput(ev.Inst.Op) || (ev.Src1 < 0 && ev.Src2 < 0) {
+		if isa.HasImmediateInput(ev.Inst.Op) || (ev.Src1 < 0 && ev.Src2 < 0) {
 			tag = maxTag(tag, TagInternal)
 		}
 		if ev.Dst >= 0 && ev.Inst.Op != isa.OpSYSCALL {

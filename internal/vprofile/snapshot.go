@@ -1,18 +1,17 @@
 package vprofile
 
-import "repro/internal/checkpoint"
+import (
+	"repro/internal/checkpoint"
+	"repro/internal/program"
+)
 
-// maxSnapshotSites bounds the dense site table length a snapshot may
-// claim (same ceiling as the repetition tracker's record table).
-const maxSnapshotSites = 1 << 22
-
-// SnapshotTo writes the profiler state: table geometry, then every
-// visited site (execs > 0) sparsely by index with its exact TNV table
-// — entry order included, since the replace-the-smallest rule is
-// order-sensitive.
+// SnapshotTo writes the profiler state: table geometry (sized, its
+// base, its length), then every visited site (execs > 0) sparsely by
+// index with its exact TNV table — entry order included, since the
+// replace-the-smallest rule is order-sensitive.
 func (p *Profiler) SnapshotTo(w *checkpoint.Writer) {
-	w.Bool(p.haveBase)
-	w.U32(p.base)
+	w.Bool(true)
+	w.U32(program.TextBase)
 	w.U32(uint32(len(p.sites)))
 	count := 0
 	for i := range p.sites {
@@ -36,18 +35,20 @@ func (p *Profiler) SnapshotTo(w *checkpoint.Writer) {
 	}
 }
 
-// RestoreFrom rebuilds the profiler from a snapshot.
+// RestoreFrom rebuilds the profiler from a snapshot taken over the
+// same text segment: a table geometry other than the one the profiler
+// was built with is malformed.
 func (p *Profiler) RestoreFrom(r *checkpoint.Reader) error {
-	p.haveBase = r.Bool()
-	p.base = r.U32()
+	sized := r.Bool()
+	base := r.U32()
 	tableLen := int(r.U32())
 	if r.Err() != nil {
 		return r.Err()
 	}
-	if tableLen > maxSnapshotSites || (!p.haveBase && tableLen != 0) {
+	if !sized || base != program.TextBase || tableLen != len(p.sites) {
 		return checkpoint.ErrMalformed
 	}
-	p.sites = make([]site, tableLen)
+	clear(p.sites)
 	n := r.Count(4 + 4 + 8)
 	prev := -1
 	for i := 0; i < n; i++ {

@@ -8,13 +8,15 @@
 // Each profiled instruction gets a classic TNV (top-N-value) table:
 // a small array of (value, count) entries with
 // replace-the-smallest-on-miss, which converges on the hot values
-// without unbounded memory.
+// without unbounded memory. The tables live in one dense per-PC array
+// sized once from the image's text segment, which never changes.
 package vprofile
 
 import (
 	"sort"
 
 	"repro/internal/cpu"
+	"repro/internal/program"
 )
 
 // TableSize is the TNV entry count per static instruction (Calder et
@@ -73,57 +75,18 @@ func (s *site) topShares(k int) uint64 {
 }
 
 // Profiler is the value profiler. Sites live in a dense table indexed
-// by (pc-base)>>2 — instruction addresses are word-aligned within the
-// contiguous text segment — replacing a map lookup per profiled
-// instruction (the same layout the repetition census uses). A site
-// with execs == 0 is an unvisited slot.
+// by (pc-program.TextBase)>>2, sized once from the image — instruction
+// addresses are word-aligned within the immutable text segment —
+// replacing a map lookup per profiled instruction (the same layout the
+// repetition census uses). A site with execs == 0 is an unvisited slot.
 type Profiler struct {
-	base     uint32
-	haveBase bool
-	sites    []site
+	sites []site
 }
 
-// New creates an empty profiler.
-func New() *Profiler {
-	return &Profiler{}
-}
-
-// SetTextBounds pre-sizes the dense site table for a text segment of
-// `words` instructions starting at base. It is a no-op after
-// observation starts.
-func (p *Profiler) SetTextBounds(base uint32, words int) {
-	if p.haveBase || words <= 0 {
-		return
-	}
-	p.base = base
-	p.haveBase = true
-	p.sites = make([]site, words)
-}
-
-// siteFor returns the site for pc, growing (or re-basing) the table
-// when pc falls outside it; with SetTextBounds in effect neither slow
-// path runs.
-func (p *Profiler) siteFor(pc uint32) *site {
-	if !p.haveBase {
-		p.base = pc
-		p.haveBase = true
-		p.sites = make([]site, 1)
-		return &p.sites[0]
-	}
-	if pc < p.base {
-		shift := int((p.base - pc) >> 2)
-		grown := make([]site, len(p.sites)+shift)
-		copy(grown[shift:], p.sites)
-		p.sites = grown
-		p.base = pc
-	}
-	idx := int((pc - p.base) >> 2)
-	if idx >= len(p.sites) {
-		grown := make([]site, idx+1, 2*idx+1)
-		copy(grown, p.sites)
-		p.sites = grown
-	}
-	return &p.sites[idx]
+// New creates an empty profiler for a text segment of words
+// instructions at program.TextBase.
+func New(words int) *Profiler {
+	return &Profiler{sites: make([]site, words)}
 }
 
 // Observe profiles the result value of a register-writing instruction.
@@ -131,7 +94,7 @@ func (p *Profiler) Observe(ev *cpu.Event) {
 	if ev.Dst < 0 {
 		return
 	}
-	p.siteFor(ev.PC).observe(ev.DstVal)
+	p.sites[(ev.PC-program.TextBase)>>2].observe(ev.DstVal)
 }
 
 // Result summarizes output invariance.

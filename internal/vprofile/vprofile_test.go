@@ -16,7 +16,7 @@ func ev(pc, out uint32) *cpu.Event {
 }
 
 func TestConstantSiteFullyInvariant(t *testing.T) {
-	p := New()
+	p := New(16)
 	for i := 0; i < 100; i++ {
 		p.Observe(ev(0x400000, 7))
 	}
@@ -27,7 +27,7 @@ func TestConstantSiteFullyInvariant(t *testing.T) {
 }
 
 func TestMixedValues(t *testing.T) {
-	p := New()
+	p := New(16)
 	// 80x value 1, 20x value 2.
 	for i := 0; i < 80; i++ {
 		p.Observe(ev(0x400000, 1))
@@ -48,7 +48,7 @@ func TestMixedValues(t *testing.T) {
 }
 
 func TestTNVReplacement(t *testing.T) {
-	p := New()
+	p := New(16)
 	// Establish a heavy hitter, then stream many one-off values: the
 	// heavy hitter must survive the TNV replacement policy.
 	for i := 0; i < 1000; i++ {
@@ -68,7 +68,7 @@ func TestTNVReplacement(t *testing.T) {
 }
 
 func TestNonProducersSkipped(t *testing.T) {
-	p := New()
+	p := New(16)
 	store := &cpu.Event{
 		PC: 0x400000, Inst: isa.Inst{Op: isa.OpSW},
 		Src1: 4, Src2: 5, Dst: -1, Aux: -1, IsStore: true,
@@ -80,7 +80,7 @@ func TestNonProducersSkipped(t *testing.T) {
 }
 
 func TestMultipleSites(t *testing.T) {
-	p := New()
+	p := New(16)
 	p.Observe(ev(0x400000, 1))
 	p.Observe(ev(0x400004, 2))
 	p.Observe(ev(0x400008, 3))
@@ -90,7 +90,7 @@ func TestMultipleSites(t *testing.T) {
 }
 
 func TestEmptyResult(t *testing.T) {
-	p := New()
+	p := New(16)
 	r := p.Result()
 	if r.Sites != 0 || r.Top1Pct != 0 || r.InvariantSitesPct != 0 {
 		t.Errorf("empty profiler result = %+v", r)

@@ -10,11 +10,13 @@ package repro_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -168,6 +170,52 @@ func TestWatchdogReportsLastCheckpoint(t *testing.T) {
 		rep.Checkpoint.LastRetired != we.LastCheckpointRetired {
 		t.Errorf("truncated report checkpoint status = %+v, want LastRetired=%d",
 			rep.Checkpoint, we.LastCheckpointRetired)
+	}
+}
+
+// snapshotDigestV2 pins every snapshot file that lzw at QuickConfig,
+// count-paced every 100,000 retired instructions under the key
+// "d16e57", writes: the retire count of each write and the
+// SHA-256 of the whole file (envelope and body) it left on disk.
+var snapshotDigestV2 = []string{
+	"100000 8b16a5174c100771cae057ff80c55fe5986659ab6a89f92c75ecf50831747295",
+	"362144 a4a6d8fb5203050c867f089cd6bf1b1410c2261dc6acfa82b8c215b62f3c84e9",
+}
+
+// TestSnapshotBytesPinned holds the checkpoint body to its format
+// version: a resumable snapshot written by one build must mean the same
+// thing to every build that reads its FormatVersion, so any change to
+// the bytes a run snapshots must come with a FormatVersion bump (and
+// new digests here).
+func TestSnapshotBytesPinned(t *testing.T) {
+	if checkpoint.FormatVersion != 2 {
+		t.Fatalf("checkpoint.FormatVersion is %d: record the new version's digests", checkpoint.FormatVersion)
+	}
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "d16e57"
+	var got []string
+	cfg := repro.QuickConfig()
+	cfg.Checkpoint = &repro.CheckpointPolicy{Store: store, Key: key, Every: 100_000,
+		Notify: func(ev repro.CheckpointEvent) {
+			data, err := os.ReadFile(filepath.Join(dir, key+".ckpt"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			got = append(got, fmt.Sprintf("%d %x", ev.Retired, sha256.Sum256(data)))
+		}}
+	if _, err := repro.RunWorkload(context.Background(), "lzw", cfg); err != nil {
+		t.Fatal(err)
+	}
+	if n := store.Stats.WriteErrors.Value(); n != 0 {
+		t.Fatalf("%d snapshot writes failed", n)
+	}
+	if !slices.Equal(got, snapshotDigestV2) {
+		t.Errorf("snapshot files changed without a FormatVersion bump:\n got %q\nwant %q", got, snapshotDigestV2)
 	}
 }
 
