@@ -61,11 +61,12 @@ differential:
 	go test -race -count=1 -run Differential ./internal/cpu .
 	go test -race -count=10 -run Helper ./internal/core
 
-# One-iteration smoke of the throughput benchmarks and of the report
-# server's memory-tier cache hit through Handler() (fast enough for
-# the default check gate).
+# One-iteration smoke of the throughput benchmarks, of building a
+# sweep cell's machine and pipeline (default and 65536x4 reuse
+# buffer), and of the report server's memory-tier cache hit through
+# Handler() (fast enough for the default check gate).
 benchsmoke:
-	go test -run '^$$' -bench 'SimulatorRaw|PipelineFull|CensusObserve|ReuseObserve' -benchtime 1x .
+	go test -run '^$$' -bench 'SimulatorRaw|PipelineFull|NewPipeline|CensusObserve|ReuseObserve' -benchtime 1x .
 	go test -run '^$$' -bench 'ReportHit' -benchtime 1x ./internal/reportserver
 
 # Bounded fuzz of the no-panic contracts: instruction decoding, the

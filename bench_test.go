@@ -18,10 +18,12 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/isa"
 	"repro/internal/repetition"
 	"repro/internal/reuse"
+	"repro/internal/workloads"
 )
 
 // benchConfig is the per-workload window used by the experiment
@@ -273,6 +275,37 @@ func BenchmarkPipelineFull(b *testing.B) {
 	b.ReportMetric(float64(1_000_000*b.N)/b.Elapsed().Seconds(), "inst/s")
 }
 
+// BenchmarkNewPipeline measures what a sweep cell pays before its
+// first instruction: a fresh machine and the full pipeline for lzw, at
+// the paper's reuse geometry and at the sweep's largest (65536 entries,
+// 4-way). Per-PC tables hold only the sets the program can reach, so
+// the two should cost about the same.
+func BenchmarkNewPipeline(b *testing.B) {
+	w, _ := workloads.ByName("lzw")
+	im, err := w.Image()
+	if err != nil {
+		b.Fatal(err)
+	}
+	input := w.Input(1)
+	for _, c := range []struct {
+		name string
+		cfg  core.Config
+	}{{"default", core.Config{}}, {"65536x4", core.Config{ReuseEntries: 65536, ReuseAssoc: 4}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m := cpu.New(im, input)
+				m.Attach(core.NewPipeline(im, c.cfg))
+				builtMachine = m
+			}
+		})
+	}
+}
+
+// builtMachine keeps BenchmarkNewPipeline's builds from being optimized
+// away.
+var builtMachine *cpu.Machine
+
 func itoa(n int) string {
 	if n == 0 {
 		return "0"
@@ -378,7 +411,7 @@ func BenchmarkReuseObserve(b *testing.B) {
 	evs := synthEvents(1<<16, 1024, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := reuse.New(0, 0)
+		buf := reuse.New(0, 0, 1024)
 		for j := range evs {
 			buf.Observe(&evs[j], false)
 		}

@@ -10,7 +10,7 @@ import (
 // any way. A snapshot written by a different version is not resumable:
 // Decode rejects it with ErrVersion and the store deletes it, so a
 // binary upgrade degrades to a fresh run instead of a wrong report.
-const FormatVersion = 2
+const FormatVersion = 3
 
 // magic identifies a checkpoint file: "Instruction-repetition
 // ChecKPoint".

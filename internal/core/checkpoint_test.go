@@ -22,6 +22,8 @@ import (
 	"repro/internal/minic"
 	"repro/internal/program"
 	"repro/internal/repetition"
+	"repro/internal/reuse"
+	"repro/internal/vpred"
 	"repro/internal/vprofile"
 )
 
@@ -329,7 +331,9 @@ func TestMismatchedPipelineRejectsResume(t *testing.T) {
 // image, then from an image one text word longer: the tables are sized
 // from the image, so only the first fits. (A whole-pipeline resume
 // stops at the census, the first table in the body, before it reads the
-// others.)
+// others.) The reuse buffer and the value predictor store one set or
+// entry per word while the text is shorter than their geometry, as the
+// test image is.
 func TestPerPCTablesRejectOtherTextLength(t *testing.T) {
 	im := checkpointTestImage(t)
 	longer := *im
@@ -345,6 +349,8 @@ func TestPerPCTablesRejectOtherTextLength(t *testing.T) {
 		{"repetition", func(im *program.Image) table { return repetition.NewTracker(im.StaticInstructions()) }},
 		{"local", func(im *program.Image) table { return local.New(im) }},
 		{"vprofile", func(im *program.Image) table { return vprofile.New(im.StaticInstructions()) }},
+		{"reuse", func(im *program.Image) table { return reuse.New(0, 0, im.StaticInstructions()) }},
+		{"vpred", func(im *program.Image) table { return vpred.New(0, im.StaticInstructions()) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var w checkpoint.Writer

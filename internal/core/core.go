@@ -361,7 +361,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 		})
 	}
 	if !cfg.DisableReuse {
-		rb := reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy)
+		rb := reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy, words)
 		p.Reuse = rb
 		add(rb.Name(), onHelper, func(b *batch) {
 			if !b.counting {
@@ -373,7 +373,7 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 		})
 	}
 	if !cfg.DisableVPred {
-		vp := vpred.New(cfg.VPredEntries)
+		vp := vpred.New(cfg.VPredEntries, words)
 		p.VPred = vp
 		add(vp.Name(), onHelper, func(b *batch) {
 			if !b.counting {

@@ -172,7 +172,8 @@ type replay struct {
 }
 
 func newReplay(m *cpu.Machine, cfg Config, rec *verdicts) *replay {
-	return &replay{m: m, buf: reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy), rec: rec}
+	buf := reuse.NewPolicy(cfg.ReuseEntries, cfg.ReuseAssoc, cfg.ReusePolicy, m.Image.StaticInstructions())
+	return &replay{m: m, buf: buf, rec: rec}
 }
 
 // OnInst implements cpu.Observer.

@@ -40,6 +40,7 @@ package cpu
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/program"
@@ -140,61 +141,68 @@ type uop struct {
 
 // block is one translated superblock.
 type block struct {
-	pc  uint32
 	ops []uop
 }
 
 // transTable is the per-machine block cache, dense over the text
-// segment: blocks[i] is the block entered at TextBase+4i.
+// segment: blocks[i] is the block entered at TextBase+4i (no ops until
+// it is first entered). The rest is translation scratch that every
+// block reuses: ops holds the block being built, and slot[i] is one
+// more than the index in ops of the instruction at TextBase+4i (0 = not
+// in the block). A translation allocates only its finished ops, and
+// clears only the slots it set.
 type transTable struct {
-	blocks []*block
+	blocks []block
+	ops    []uop // empty, capacity maxBlockOps
+	slot   []int32
 }
 
 // blockAt returns the translated block entered at pc, translating it
 // on first use, or nil when pc does not address a text instruction
 // (the caller falls back to Step, which reproduces the fetch fault).
 func (m *Machine) blockAt(pc uint32) *block {
-	if m.trans == nil {
-		m.trans = &transTable{blocks: make([]*block, len(m.Image.Text))}
+	t := m.trans
+	if t == nil {
+		n := len(m.Image.Text)
+		t = &transTable{blocks: make([]block, n), ops: make([]uop, 0, maxBlockOps), slot: make([]int32, n)}
+		m.trans = t
 	}
 	if pc < program.TextBase || pc&3 != 0 {
 		return nil
 	}
 	idx := (pc - program.TextBase) >> 2
-	if idx >= uint32(len(m.trans.blocks)) {
+	if idx >= uint32(len(t.blocks)) {
 		return nil
 	}
-	b := m.trans.blocks[idx]
-	if b == nil {
-		b = m.translate(pc)
-		m.trans.blocks[idx] = b
+	b := &t.blocks[idx]
+	if b.ops == nil {
+		b.ops = t.translate(m.Image, pc)
 		m.Trans.Blocks++
 	}
 	return b
 }
 
-// translate decodes the superblock entered at pc. pc must address a
-// valid text instruction.
-func (m *Machine) translate(pc uint32) *block {
-	b := &block{pc: pc}
-	index := make(map[uint32]int32) // pc -> uop index within b
-	for len(b.ops) < maxBlockOps {
-		if _, dup := index[pc]; dup {
+// translate decodes the superblock entered at pc, which must address a
+// valid text instruction, and returns its micro-ops.
+func (t *transTable) translate(im *program.Image, pc uint32) []uop {
+	ops := t.ops
+loop:
+	for len(ops) < maxBlockOps {
+		if t.opAt(pc) >= 0 {
 			break // back-edge: target already translated in this block
 		}
-		in, err := m.Image.InstAt(pc)
+		in, err := im.InstAt(pc)
 		if err != nil {
 			break // runs off the end of text; Step reproduces the fault
 		}
-		index[pc] = int32(len(b.ops))
-		op := translateInst(pc, in)
-		b.ops = append(b.ops, op)
+		t.slot[(pc-program.TextBase)>>2] = int32(len(ops)) + 1
+		ops = append(ops, translateInst(pc, in))
 
-		last := &b.ops[len(b.ops)-1]
+		last := &ops[len(ops)-1]
 		switch in.Op {
 		case isa.OpJ, isa.OpJAL:
 			if in.Op == isa.OpJAL {
-				last.callee = m.Image.FuncByEntry(last.tmpl.NextPC)
+				last.callee = im.FuncByEntry(last.tmpl.NextPC)
 			}
 			// Direct jump: chain into a superblock at the target.
 			pc = last.tmpl.NextPC
@@ -202,7 +210,7 @@ func (m *Machine) translate(pc uint32) *block {
 			// Indirect control flow and syscalls exit the block
 			// (syscalls can halt the machine); BREAK faults.
 			last.next = -1
-			return link(b, index)
+			break loop
 		default:
 			if last.code == uGeneric && in.Op != isa.OpMULT && in.Op != isa.OpMULTU &&
 				in.Op != isa.OpDIV && in.Op != isa.OpDIVU &&
@@ -210,35 +218,42 @@ func (m *Machine) translate(pc uint32) *block {
 				in.Op != isa.OpMTHI && in.Op != isa.OpMTLO {
 				// Invalid instruction: faults at execution; terminate.
 				last.next = -1
-				return link(b, index)
+				break loop
 			}
 			pc += 4
 		}
 	}
-	return link(b, index)
+	t.link(ops)
+	for i := range ops {
+		t.slot[(ops[i].tmpl.PC-program.TextBase)>>2] = 0
+	}
+	return slices.Clone(ops)
+}
+
+// opAt returns the index in the block being built of the instruction
+// at pc, or -1 when the block does not hold it.
+func (t *transTable) opAt(pc uint32) int32 {
+	i := (pc - program.TextBase) >> 2
+	if pc&3 != 0 || i >= uint32(len(t.slot)) {
+		return -1
+	}
+	return t.slot[i] - 1
 }
 
 // link resolves intra-block successor indices: fall-through edges,
 // chained direct-jump targets, and conditional-branch taken targets
 // that landed inside the block.
-func link(b *block, index map[uint32]int32) *block {
-	for i := range b.ops {
-		op := &b.ops[i]
+func (t *transTable) link(ops []uop) {
+	for i := range ops {
+		op := &ops[i]
 		if op.next != -1 { // not a terminator
-			if ni, ok := index[op.tmpl.NextPC]; ok {
-				op.next = ni
-			} else {
-				op.next = -1
-			}
+			op.next = t.opAt(op.tmpl.NextPC)
 		}
 		op.taken = -1
 		if op.tmpl.IsBranch {
-			if ti, ok := index[op.target]; ok {
-				op.taken = ti
-			}
+			op.taken = t.opAt(op.target)
 		}
 	}
-	return b
 }
 
 // translateInst builds the micro-op for one decoded instruction. The

@@ -376,3 +376,40 @@ func TestTranslateDifferentialWorkloads(t *testing.T) {
 		})
 	}
 }
+
+// TestTranslateAllocs bounds what translation allocates: a fresh
+// machine running each workload's 200k-instruction prefix translated
+// may allocate at most two objects per block it translates beyond what
+// the same run allocates interpreted (machine, pages, output). Blocks
+// are built in per-machine scratch, so a block costs only its ops
+// slice.
+func TestTranslateAllocs(t *testing.T) {
+	for _, w := range workloads.All() {
+		t.Run(w.Name, func(t *testing.T) {
+			im, err := w.Image()
+			if err != nil {
+				t.Fatalf("Image: %v", err)
+			}
+			input := w.Input(1)
+			var blocks uint64
+			allocs := func(noTranslate bool) float64 {
+				return testing.AllocsPerRun(3, func() {
+					m := cpu.New(im, input)
+					m.NoTranslate = noTranslate
+					if _, err := m.Run(200_000); err != nil {
+						t.Fatal(err)
+					}
+					blocks = m.Trans.Blocks
+				})
+			}
+			interpreted := allocs(true)
+			translated := allocs(false)
+			if blocks == 0 {
+				t.Fatal("no block translated")
+			}
+			if extra := translated - interpreted; extra > 2*float64(blocks) {
+				t.Errorf("translating %d blocks allocated %.0f objects, want at most %d", blocks, extra, 2*blocks)
+			}
+		})
+	}
+}

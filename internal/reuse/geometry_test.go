@@ -1,6 +1,10 @@
 package reuse
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/program"
+)
 
 func TestGeometryRoundUp(t *testing.T) {
 	cases := []struct {
@@ -16,7 +20,7 @@ func TestGeometryRoundUp(t *testing.T) {
 		{3, 8, 8, 1},          // ditto
 	}
 	for _, c := range cases {
-		b := New(c.entries, c.assoc)
+		b := New(c.entries, c.assoc, testWords)
 		if b.Entries() != c.wantEntries || b.Sets() != c.wantSets {
 			t.Errorf("New(%d, %d): entries=%d sets=%d, want %d/%d",
 				c.entries, c.assoc, b.Entries(), b.Sets(), c.wantEntries, c.wantSets)
@@ -34,7 +38,7 @@ func TestGeometryRoundUp(t *testing.T) {
 // array has a single slot and whose addrShift is the full word width
 // (a shift Go defines to yield 0, not UB — pin that).
 func TestDegenerateSingleEntry(t *testing.T) {
-	b := New(1, 1)
+	b := New(1, 1, testWords)
 	if b.addrShift != 32 {
 		t.Fatalf("addrShift = %d, want 32", b.addrShift)
 	}
@@ -59,7 +63,7 @@ func TestDegenerateSingleEntry(t *testing.T) {
 // TestNonPow2Sets exercises the modulo set-index path (set count not a
 // power of two) with PCs spanning many sets.
 func TestNonPow2Sets(t *testing.T) {
-	b := New(24, 4) // 6 sets
+	b := New(24, 4, testWords) // 6 sets
 	if b.setMask != -1 {
 		t.Fatalf("setMask = %d, want -1 for 6 sets", b.setMask)
 	}
@@ -73,16 +77,20 @@ func TestNonPow2Sets(t *testing.T) {
 }
 
 // TestPow2SetMaskEquivalence pins that the masked fast path indexes
-// exactly like the modulo it replaces.
+// exactly like the modulo it replaces, and that both relabel the
+// hardware's (pc>>2) mod sets (TextBase is a multiple of 8 words).
 func TestPow2SetMaskEquivalence(t *testing.T) {
-	b := New(32, 4) // 8 sets, pow2
+	b := New(32, 4, testWords) // 8 sets, pow2
 	if b.setMask != 7 {
 		t.Fatalf("setMask = %d, want 7", b.setMask)
 	}
 	for i := uint32(0); i < 1000; i += 37 {
 		pc := 0x400000 + i*4
-		if got, want := b.setIndex(pc), int(pc>>2)%b.nsets; got != want {
+		if got, want := b.setIndex(pc), int((pc-program.TextBase)>>2)%b.sets; got != want {
 			t.Fatalf("setIndex(0x%x) = %d, want %d", pc, got, want)
+		}
+		if got, want := b.setIndex(pc), int(pc>>2)%b.sets; got != want {
+			t.Fatalf("setIndex(0x%x) = %d, hardware set %d", pc, got, want)
 		}
 	}
 }

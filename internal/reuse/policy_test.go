@@ -50,11 +50,11 @@ func TestPolicyStringValid(t *testing.T) {
 }
 
 func TestNewPolicyFallback(t *testing.T) {
-	b := NewPolicy(64, 4, Policy(42))
+	b := NewPolicy(64, 4, Policy(42), testWords)
 	if b.Policy() != LRU {
 		t.Errorf("invalid policy fell back to %v, want LRU", b.Policy())
 	}
-	if New(64, 4).Policy() != LRU {
+	if New(64, 4, testWords).Policy() != LRU {
 		t.Error("New is not LRU")
 	}
 }
@@ -63,7 +63,7 @@ func TestNewPolicyFallback(t *testing.T) {
 // pre-axis buffer: NewPolicy(..., LRU) and New must agree hit-for-hit
 // on an arbitrary event stream, because LRU *is* the paper's buffer.
 func TestLRUPolicyMatchesNew(t *testing.T) {
-	a, b := New(16, 4), NewPolicy(16, 4, LRU)
+	a, b := New(16, 4, testWords), NewPolicy(16, 4, LRU, testWords)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 5000; i++ {
 		pc := 0x400000 + uint32(rng.Intn(64))*4
@@ -90,7 +90,7 @@ func TestFIFOVsLRUVictims(t *testing.T) {
 		pcC = 0x400008
 	)
 	run := func(p Policy) bool {
-		b := NewPolicy(2, 2, p) // one set, two ways
+		b := NewPolicy(2, 2, p, testWords) // one set, two ways
 		b.Observe(aluEv(pcA, 1, 1, 2), false)
 		b.Observe(aluEv(pcB, 1, 1, 2), false)
 		if !b.Observe(aluEv(pcA, 1, 1, 2), false) {
@@ -113,8 +113,8 @@ func TestFIFOVsLRUVictims(t *testing.T) {
 // random-policy sweep cell be cached, checkpointed, and reproduced
 // byte-identically.
 func TestRandomDeterministic(t *testing.T) {
-	a := NewPolicy(16, 4, Random)
-	b := NewPolicy(16, 4, Random)
+	a := NewPolicy(16, 4, Random, testWords)
+	b := NewPolicy(16, 4, Random, testWords)
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 5000; i++ {
 		pc := 0x400000 + uint32(rng.Intn(64))*4
@@ -136,7 +136,7 @@ func TestRandomDeterministic(t *testing.T) {
 // in once a set is full — while invalid ways remain they are filled in
 // order, so warming a set never randomly evicts a live entry.
 func TestRandomFillsInvalidWaysFirst(t *testing.T) {
-	b := NewPolicy(8, 8, Random) // one 8-way set
+	b := NewPolicy(8, 8, Random, testWords) // one 8-way set
 	for i := uint32(0); i < 8; i++ {
 		b.Observe(aluEv(0x400000+i*4, 1, 1, 2), false)
 	}
@@ -151,7 +151,7 @@ func TestRandomFillsInvalidWaysFirst(t *testing.T) {
 // confined to the probed PC's set — an insert into one set never
 // disturbs another.
 func TestRandomEvictsWithinSet(t *testing.T) {
-	b := NewPolicy(8, 2, Random) // 4 sets × 2 ways
+	b := NewPolicy(8, 2, Random, testWords) // 4 sets × 2 ways
 	// Fill set 0 (pc>>2 ≡ 0 mod 4) and set 1 (≡ 1 mod 4).
 	s0 := []uint32{0x400000, 0x400040}
 	s1 := []uint32{0x400004, 0x400044}

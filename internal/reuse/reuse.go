@@ -7,7 +7,17 @@
 // memory consistency. Table 10 of the paper measures how much of the
 // repetition census an 8K-entry 4-way buffer captures.
 //
-// Layout: all sets live in one contiguous entry slice (set s occupies
+// Layout: the buffer stores only the sets a program can reach. A
+// program of W text words touches at most W of a geometry's S sets, so
+// the buffer keeps min(S, W) of them and indexes set
+// ((pc-program.TextBase)>>2) mod S. That is a relabeling of the
+// hardware's (pc>>2) mod S: two instructions share a set under one
+// exactly when they share it under the other, so every hit, victim
+// choice, Random draw and invalidation is the same, and a 64K-entry
+// buffer over a 2K-word program costs what the program can fill.
+// Entries and Sets still report the configured geometry.
+//
+// All stored sets live in one contiguous entry slice (set s occupies
 // entries[s*assoc : (s+1)*assoc]), and store invalidation uses a
 // bounded index — a power-of-two bucket array whose buckets head
 // doubly-linked chains threaded through the load entries themselves.
@@ -17,7 +27,10 @@
 // between stores).
 package reuse
 
-import "repro/internal/cpu"
+import (
+	"repro/internal/cpu"
+	"repro/internal/program"
+)
 
 // Default geometry from the paper: 8K entries, 4-way set associative.
 const (
@@ -57,7 +70,8 @@ type Buffer struct {
 	tags    []tag   // nsets*assoc, contiguous; probe-path identity
 	entries []entry // parallel cold halves
 	assoc   int
-	nsets   int
+	sets    int // configured set count
+	nsets   int // stored set count: min(sets, text words), at least 1
 	setMask int // nsets-1 when nsets is a power of two, else -1
 	policy  Policy
 
@@ -76,22 +90,23 @@ type Buffer struct {
 	loadInv         uint64
 }
 
-// New creates a buffer with the given total entries and associativity
+// New creates a buffer for a text segment of words instructions at
+// program.TextBase, with the given total entries and associativity
 // (zero values select the paper's 8K / 4-way configuration) and the
 // paper's LRU replacement. When entries is not a multiple of assoc the
 // capacity is rounded *up* to the next multiple, never silently
 // truncated (8192/3 is 2731 sets = 8193 entries, not 8190): a geometry
 // sweep must always get at least the capacity it asked for. Entries
 // reports the effective capacity.
-func New(entries, assoc int) *Buffer {
-	return NewPolicy(entries, assoc, LRU)
+func New(entries, assoc, words int) *Buffer {
+	return NewPolicy(entries, assoc, LRU, words)
 }
 
 // NewPolicy is New with an explicit replacement policy (the sweep's
 // policy axis). An invalid policy falls back to LRU; callers that
 // accept policy input should validate with ParsePolicy/Policy.Valid
 // first.
-func NewPolicy(entries, assoc int, policy Policy) *Buffer {
+func NewPolicy(entries, assoc int, policy Policy, words int) *Buffer {
 	if entries == 0 {
 		entries = DefaultEntries
 	}
@@ -101,27 +116,27 @@ func NewPolicy(entries, assoc int, policy Policy) *Buffer {
 	if !policy.Valid() {
 		policy = LRU
 	}
-	nsets := (entries + assoc - 1) / assoc
-	if nsets == 0 {
-		nsets = 1
-	}
+	sets := max((entries+assoc-1)/assoc, 1)
+	nsets := max(min(sets, words), 1)
+	stored := nsets * assoc
 	b := &Buffer{
-		tags:    make([]tag, nsets*assoc),
-		entries: make([]entry, nsets*assoc),
+		tags:    make([]tag, stored),
+		entries: make([]entry, stored),
 		assoc:   assoc,
+		sets:    sets,
 		nsets:   nsets,
 		setMask: -1,
 		policy:  policy,
-		rng:     rngSeed(nsets*assoc, assoc),
+		rng:     rngSeed(sets*assoc, assoc),
 	}
 	if nsets&(nsets-1) == 0 {
 		b.setMask = nsets - 1
 	}
-	// One bucket per entry (rounded up to a power of two) keeps the
-	// chains short: each valid load occupies exactly one chain node.
+	// One bucket per stored entry (rounded up to a power of two) keeps
+	// the chains short: each valid load occupies exactly one chain node.
 	nbuckets := 1
 	bits := uint(0)
-	for nbuckets < nsets*assoc {
+	for nbuckets < stored {
 		nbuckets <<= 1
 		bits++
 	}
@@ -133,11 +148,18 @@ func NewPolicy(entries, assoc int, policy Policy) *Buffer {
 	return b
 }
 
+// setIndex maps pc to its stored set, ((pc-TextBase)>>2) mod sets.
+// When every word has a set of its own (nsets is the text length) the
+// word index is the set, with no division.
 func (b *Buffer) setIndex(pc uint32) int {
-	if b.setMask >= 0 {
-		return int(pc>>2) & b.setMask
+	k := int((pc - program.TextBase) >> 2)
+	switch {
+	case b.setMask >= 0:
+		return k & b.setMask
+	case k < b.nsets:
+		return k
 	}
-	return int(pc>>2) % b.nsets
+	return k % b.nsets
 }
 
 // bucketOf hashes a word-aligned address to its chain bucket
@@ -330,8 +352,9 @@ func (b *Buffer) HitPercent() float64 {
 }
 
 // Entries returns the buffer's effective capacity (sets × assoc, which
-// is the requested entry count rounded up to a multiple of assoc).
-func (b *Buffer) Entries() int { return len(b.entries) }
+// is the requested entry count rounded up to a multiple of assoc),
+// whether or not the program can reach every set.
+func (b *Buffer) Entries() int { return b.sets * b.assoc }
 
 // Assoc returns the buffer's associativity.
 func (b *Buffer) Assoc() int { return b.assoc }
@@ -339,8 +362,8 @@ func (b *Buffer) Assoc() int { return b.assoc }
 // Policy returns the buffer's replacement policy.
 func (b *Buffer) Policy() Policy { return b.policy }
 
-// Sets returns the buffer's set count.
-func (b *Buffer) Sets() int { return b.nsets }
+// Sets returns the buffer's configured set count.
+func (b *Buffer) Sets() int { return b.sets }
 
 // Name identifies the buffer in observability output.
 func (b *Buffer) Name() string { return "reuse" }

@@ -9,6 +9,10 @@ import (
 	"repro/internal/isa"
 )
 
+// testWords is the text length the tests build buffers for: every PC
+// they observe lies in its first words.
+const testWords = 4096
+
 func aluEv(pc, in1, in2, out uint32) *cpu.Event {
 	return &cpu.Event{
 		PC:   pc,
@@ -39,7 +43,7 @@ func storeEv(pc, addr, val uint32) *cpu.Event {
 }
 
 func TestBasicReuse(t *testing.T) {
-	b := New(0, 0)
+	b := New(0, 0, testWords)
 	if b.Observe(aluEv(0x400000, 1, 2, 3), false) {
 		t.Error("first execution hit")
 	}
@@ -55,7 +59,7 @@ func TestBasicReuse(t *testing.T) {
 }
 
 func TestLoadInvalidation(t *testing.T) {
-	b := New(0, 0)
+	b := New(0, 0, testWords)
 	b.Observe(loadEv(0x400000, 0x10000000, 7), false)
 	if !b.Observe(loadEv(0x400000, 0x10000000, 7), true) {
 		t.Error("repeated load missed")
@@ -79,7 +83,7 @@ func TestLoadInvalidation(t *testing.T) {
 }
 
 func TestSubWordStoreInvalidates(t *testing.T) {
-	b := New(0, 0)
+	b := New(0, 0, testWords)
 	b.Observe(loadEv(0x400000, 0x10000000, 7), false)
 	// Byte store inside the same word.
 	sb := storeEv(0x400010, 0x10000002, 1)
@@ -92,7 +96,7 @@ func TestSubWordStoreInvalidates(t *testing.T) {
 
 func TestSetConflictEviction(t *testing.T) {
 	// 1 set x 2 ways: three PCs mapping to the same set evict LRU.
-	b := New(2, 2)
+	b := New(2, 2, testWords)
 	b.Observe(aluEv(0x400000, 1, 1, 2), false)
 	b.Observe(aluEv(0x400004, 2, 2, 4), false)
 	// Touch the first so the second is LRU.
@@ -109,7 +113,7 @@ func TestSetConflictEviction(t *testing.T) {
 }
 
 func TestHitPercent(t *testing.T) {
-	b := New(0, 0)
+	b := New(0, 0, testWords)
 	if b.HitPercent() != 0 {
 		t.Error("empty buffer hit percent nonzero")
 	}
@@ -126,7 +130,7 @@ func TestHitPercent(t *testing.T) {
 func TestReuseNeverStale(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	f := func() bool {
-		b := New(64, 4)
+		b := New(64, 4, testWords)
 		memory := map[uint32]uint32{}
 		for i := 0; i < 2000; i++ {
 			pc := uint32(0x400000 + 4*r.Intn(30))
@@ -172,16 +176,25 @@ func wouldHit(b *Buffer, ev *cpu.Event) bool {
 }
 
 func TestGeometry(t *testing.T) {
-	b := New(0, 0)
+	b := New(0, 0, testWords)
 	if b.nsets != DefaultEntries/DefaultAssoc || b.assoc != DefaultAssoc {
 		t.Errorf("default geometry %d sets x %d ways", b.nsets, b.assoc)
 	}
 	if len(b.entries) != DefaultEntries {
 		t.Errorf("entry slice holds %d entries, want %d", len(b.entries), DefaultEntries)
 	}
-	b2 := New(16, 2)
+	b2 := New(16, 2, testWords)
 	if b2.nsets != 8 || b2.assoc != 2 {
 		t.Errorf("custom geometry %d sets x %d ways", b2.nsets, b2.assoc)
+	}
+	// A text shorter than the set count stores one set per word and
+	// still reports the configured geometry.
+	b3 := New(0, 0, 1000)
+	if len(b3.tags) != 1000*DefaultAssoc || len(b3.entries) != 1000*DefaultAssoc {
+		t.Errorf("1000-word text stores %d/%d entries, want %d", len(b3.tags), len(b3.entries), 1000*DefaultAssoc)
+	}
+	if b3.Entries() != DefaultEntries || b3.Sets() != DefaultEntries/DefaultAssoc {
+		t.Errorf("1000-word text reports %d entries, %d sets", b3.Entries(), b3.Sets())
 	}
 }
 
@@ -190,7 +203,7 @@ func TestGeometry(t *testing.T) {
 // hits never exceed attempts.
 func TestHitIdentity(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
-	b := New(64, 4)
+	b := New(64, 4, testWords)
 	memory := map[uint32]uint32{}
 	for i := 0; i < 5000; i++ {
 		pc := uint32(0x400000 + 4*r.Intn(40))
@@ -228,7 +241,7 @@ func TestHitIdentity(t *testing.T) {
 func TestInvalidationChainEviction(t *testing.T) {
 	// Direct-mapped, 2 sets. Loads at set 0, set 1, set 0: the third
 	// load evicts the first by set pressure.
-	b := New(2, 1)
+	b := New(2, 1, testWords)
 	b.Observe(loadEv(0x400000, 0x10000000, 1), false) // set 0
 	b.Observe(loadEv(0x400004, 0x10000004, 2), false) // set 1
 	b.Observe(loadEv(0x400008, 0x10000008, 3), false) // set 0: evicts the first

@@ -8,9 +8,11 @@ import "repro/internal/checkpoint"
 // heads. The dump preserves exact slot positions, LRU stamps, chain
 // order, and the Random policy's xorshift state, so a restored buffer
 // makes byte-for-byte the same replacement and invalidation decisions
-// as the original. Geometry (assoc, sets, bucket count) and policy are
-// configuration: the caller rebuilds them with NewPolicy before
-// restoring, and the encoded values cross-check them.
+// as the original. Geometry (assoc, sets, bucket count), policy and
+// text length are configuration: the caller rebuilds them with
+// NewPolicy before restoring, and the encoded values cross-check them
+// (the dump holds only the stored sets, so a buffer built for another
+// text length, where that changes the stored count, rejects it).
 func (b *Buffer) SnapshotTo(w *checkpoint.Writer) {
 	w.U8(uint8(b.policy))
 	w.U64(b.rng)

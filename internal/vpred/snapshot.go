@@ -3,9 +3,9 @@ package vpred
 import "repro/internal/checkpoint"
 
 // SnapshotTo writes the predictor state: the accuracy counters and a
-// raw dump of the table (geometry is configuration, rebuilt by the
-// caller with New before restoring; the encoded length cross-checks
-// it).
+// raw dump of the stored table (geometry and text length are
+// configuration, rebuilt by the caller with New before restoring; the
+// encoded length cross-checks them).
 func (p *Predictor) SnapshotTo(w *checkpoint.Writer) {
 	w.U64(p.eligible)
 	w.U64(p.lastCorrect)

@@ -11,7 +11,10 @@
 //     (an upper bound for a two-component hybrid with perfect chooser)
 package vpred
 
-import "repro/internal/cpu"
+import (
+	"repro/internal/cpu"
+	"repro/internal/program"
+)
 
 // DefaultEntries matches the reuse buffer's 8K-entry budget so the
 // comparison with Table 10 is apples-to-apples.
@@ -26,6 +29,11 @@ type entry struct {
 }
 
 // Predictor is a tagged, direct-mapped last-value + stride predictor.
+// Like the reuse buffer it stores only the entries a program can
+// reach: min(entries, text words) of them, entry
+// ((pc-program.TextBase)>>2) mod entries. That relabels the hardware's
+// (pc>>2) mod entries: two instructions share an entry under one
+// exactly when they share it under the other.
 type Predictor struct {
 	table []entry
 	mask  int // len(table)-1 when the size is a power of two, else -1
@@ -37,16 +45,18 @@ type Predictor struct {
 }
 
 // New creates a predictor with the given table size (0 =
-// DefaultEntries).
-func New(entries int) *Predictor {
+// DefaultEntries) for a text segment of words instructions at
+// program.TextBase.
+func New(entries, words int) *Predictor {
 	if entries == 0 {
 		entries = DefaultEntries
 	}
-	p := &Predictor{table: make([]entry, entries), mask: -1}
-	if entries&(entries-1) == 0 {
-		// Power-of-two tables (the default) index with a mask instead
-		// of a per-observation integer division.
-		p.mask = entries - 1
+	n := max(min(entries, words), 1)
+	p := &Predictor{table: make([]entry, n), mask: -1}
+	if n&(n-1) == 0 {
+		// Power-of-two tables index with a mask instead of a
+		// per-observation integer division.
+		p.mask = n - 1
 	}
 	return p
 }
@@ -59,9 +69,14 @@ func (p *Predictor) Observe(ev *cpu.Event) {
 		return
 	}
 	p.eligible++
-	idx := int(ev.PC>>2) & p.mask
-	if p.mask < 0 {
-		idx = int(ev.PC>>2) % len(p.table)
+	// When every word has an entry of its own the word index is the
+	// entry, with no division.
+	idx := int((ev.PC - program.TextBase) >> 2)
+	switch {
+	case p.mask >= 0:
+		idx &= p.mask
+	case idx >= len(p.table):
+		idx %= len(p.table)
 	}
 	e := &p.table[idx]
 	actual := ev.DstVal

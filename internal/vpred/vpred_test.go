@@ -7,6 +7,10 @@ import (
 	"repro/internal/isa"
 )
 
+// testWords is the text length the tests build predictors for: every
+// PC they observe lies in its first words.
+const testWords = 4096
+
 func ev(pc, out uint32) *cpu.Event {
 	return &cpu.Event{
 		PC:   pc,
@@ -16,7 +20,7 @@ func ev(pc, out uint32) *cpu.Event {
 }
 
 func TestLastValue(t *testing.T) {
-	p := New(0)
+	p := New(0, testWords)
 	p.Observe(ev(0x400000, 7)) // fill
 	p.Observe(ev(0x400000, 7)) // last-value correct
 	p.Observe(ev(0x400000, 7)) // correct
@@ -31,7 +35,7 @@ func TestLastValue(t *testing.T) {
 }
 
 func TestStride(t *testing.T) {
-	p := New(0)
+	p := New(0, testWords)
 	// Sequence 10, 14, 18, 22: strides established after the second.
 	for _, v := range []uint32{10, 14, 18, 22} {
 		p.Observe(ev(0x400000, v))
@@ -51,7 +55,7 @@ func TestStride(t *testing.T) {
 }
 
 func TestHybridTakesBest(t *testing.T) {
-	p := New(0)
+	p := New(0, testWords)
 	// Constant at one pc, striding at another.
 	for i := 0; i < 10; i++ {
 		p.Observe(ev(0x400000, 5))
@@ -65,7 +69,7 @@ func TestHybridTakesBest(t *testing.T) {
 }
 
 func TestNonProducersIgnored(t *testing.T) {
-	p := New(0)
+	p := New(0, testWords)
 	store := &cpu.Event{
 		PC:   0x400000,
 		Inst: isa.Inst{Op: isa.OpSW},
@@ -81,7 +85,7 @@ func TestNonProducersIgnored(t *testing.T) {
 func TestTableConflict(t *testing.T) {
 	// Two PCs mapping to the same slot evict each other (tagged
 	// table): neither trains.
-	p := New(1)
+	p := New(1, testWords)
 	for i := 0; i < 10; i++ {
 		p.Observe(ev(0x400000, 5))
 		p.Observe(ev(0x400004, 9))
@@ -93,7 +97,7 @@ func TestTableConflict(t *testing.T) {
 }
 
 func TestZeroTotal(t *testing.T) {
-	p := New(0)
+	p := New(0, testWords)
 	r := p.Result(0)
 	if r.EligiblePct != 0 || r.LastValuePct != 0 {
 		t.Error("empty predictor must report zeros")

@@ -9,10 +9,12 @@ package repro_test
 
 import (
 	"bytes"
+	"compress/gzip"
 	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -173,14 +175,23 @@ func TestWatchdogReportsLastCheckpoint(t *testing.T) {
 	}
 }
 
-// snapshotDigestV2 pins every snapshot file that lzw at QuickConfig,
+// snapshotDigestV3 pins every snapshot file that lzw at QuickConfig,
 // count-paced every 100,000 retired instructions under the key
 // "d16e57", writes: the retire count of each write and the
 // SHA-256 of the whole file (envelope and body) it left on disk.
-var snapshotDigestV2 = []string{
-	"100000 8b16a5174c100771cae057ff80c55fe5986659ab6a89f92c75ecf50831747295",
-	"362144 a4a6d8fb5203050c867f089cd6bf1b1410c2261dc6acfa82b8c215b62f3c84e9",
+var snapshotDigestV3 = []string{
+	"100000 87c81a128b5c61d67e0590023863eeb422426cf68679c203107290e6dd7fc020",
+	"362144 a343f7a461e1206ecaef5375e356d9b8185beb4ff19a20d36f722ea6230843f4",
 }
+
+// snapshotV2File is the first file the same run wrote at format
+// version 2, when the reuse buffer and the value predictor stored every
+// configured set, and snapshotV2Digest its SHA-256 as version 2 pinned
+// it.
+const (
+	snapshotV2File   = "testdata/checkpoint/lzw-v2.ckpt.gz"
+	snapshotV2Digest = "8b16a5174c100771cae057ff80c55fe5986659ab6a89f92c75ecf50831747295"
+)
 
 // TestSnapshotBytesPinned holds the checkpoint body to its format
 // version: a resumable snapshot written by one build must mean the same
@@ -188,7 +199,7 @@ var snapshotDigestV2 = []string{
 // the bytes a run snapshots must come with a FormatVersion bump (and
 // new digests here).
 func TestSnapshotBytesPinned(t *testing.T) {
-	if checkpoint.FormatVersion != 2 {
+	if checkpoint.FormatVersion != 3 {
 		t.Fatalf("checkpoint.FormatVersion is %d: record the new version's digests", checkpoint.FormatVersion)
 	}
 	dir := t.TempDir()
@@ -214,8 +225,88 @@ func TestSnapshotBytesPinned(t *testing.T) {
 	if n := store.Stats.WriteErrors.Value(); n != 0 {
 		t.Fatalf("%d snapshot writes failed", n)
 	}
-	if !slices.Equal(got, snapshotDigestV2) {
-		t.Errorf("snapshot files changed without a FormatVersion bump:\n got %q\nwant %q", got, snapshotDigestV2)
+	if !slices.Equal(got, snapshotDigestV3) {
+		t.Errorf("snapshot files changed without a FormatVersion bump:\n got %q\nwant %q", got, snapshotDigestV3)
+	}
+}
+
+// TestV2SnapshotRestartsFresh plants a version 2 snapshot under the
+// key of the run that wrote it. A resume drops it as another version's
+// file (ErrVersion) and runs fresh, to a report byte-identical to an
+// uncheckpointed run (the golden corpus). Its body in a current
+// envelope decodes, but its reuse buffer holds every configured set,
+// so the restore rejects it and the run again starts fresh.
+func TestV2SnapshotRestartsFresh(t *testing.T) {
+	f, err := os.Open(snapshotV2File)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v2, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(v2)); got != snapshotV2Digest {
+		t.Fatalf("%s holds %s, not the pinned version 2 file", snapshotV2File, got)
+	}
+	if _, _, err := checkpoint.Decode(v2); !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("Decode of a version 2 file: err = %v, want ErrVersion", err)
+	}
+	const key = "d16e57"
+	// The envelope is magic | u32 version | u32 keyLen | key | u64
+	// bodyLen | body | sha256.
+	body := v2[4+4+4+len(key)+8 : len(v2)-sha256.Size]
+
+	want, err := os.ReadFile(goldenPath("lzw"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name               string
+		file               []byte
+		mismatch, rejected uint64
+	}{
+		{"v2", v2, 1, 0},
+		{"v2 body in a current envelope", checkpoint.Encode(key, body), 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			store, err := checkpoint.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, key+".ckpt"), tc.file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			resumed := false
+			cfg := repro.QuickConfig()
+			cfg.Checkpoint = &repro.CheckpointPolicy{Store: store, Key: key, Resume: true,
+				Notify: func(ev repro.CheckpointEvent) { resumed = resumed || ev.Resumed }}
+			rep, err := repro.RunWorkload(context.Background(), "lzw", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resumed {
+				t.Error("the run resumed from the planted file")
+			}
+			if n := store.Stats.VersionMismatch.Value(); n != tc.mismatch {
+				t.Errorf("VersionMismatch = %d, want %d", n, tc.mismatch)
+			}
+			if n := store.Stats.ResumeRejected.Value(); n != tc.rejected {
+				t.Errorf("ResumeRejected = %d, want %d", n, tc.rejected)
+			}
+			got, err := repro.CanonicalReportJSON(rep)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("fresh run after the planted file diverged from the golden corpus\n%s", firstDiff(want, got))
+			}
+		})
 	}
 }
 
