@@ -28,11 +28,10 @@ const MeasurementVersion = 1
 // defaults resolved to the concrete sizes they select. Two Configs
 // with equal MeasurementKeys produce byte-identical canonical reports;
 // fields that only shape the run's execution (Parallel, Timeout,
-// WatchdogInterval, ObserverSampleEvery, DisableTranslation,
-// Checkpoint — a resumed run reproduces the uninterrupted run's bytes
-// exactly — Progress, Span) are excluded,
-// and fault injection is handled by refusing to cache (see
-// resultcache.Cacheable).
+// WatchdogInterval, DisableTranslation, Checkpoint — a resumed run
+// reproduces the uninterrupted run's bytes exactly — Progress, Span)
+// are excluded, and fault injection is handled by refusing to cache
+// (see resultcache.Cacheable).
 func (c Config) MeasurementKey() string {
 	instances := c.MaxInstances
 	if instances <= 0 {

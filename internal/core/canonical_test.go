@@ -31,7 +31,6 @@ func TestMeasurementKeyExcludesExecutionFields(t *testing.T) {
 	exec.Parallel = 3
 	exec.Timeout = time.Minute
 	exec.WatchdogInterval = time.Second
-	exec.ObserverSampleEvery = 11
 	exec.Progress = func(Progress) {}
 	if base.MeasurementKey() != exec.MeasurementKey() {
 		t.Error("execution-shaping fields must not enter the measurement key")

@@ -66,12 +66,6 @@ type Config struct {
 	// tests and the before/after benchmark comparison.
 	DisableTranslation bool
 
-	// ObserverSampleEvery is the cost-attribution sampling period:
-	// one event batch in every N is timed per observer pass and the
-	// totals extrapolated (0 = the default of 1024; negative disables
-	// attribution).
-	ObserverSampleEvery int
-
 	// Parallel bounds the worker pool repro.RunAll uses to run
 	// workloads concurrently (0 = GOMAXPROCS); only multi-workload
 	// drivers read it. One core.Run simulates on one goroutine and adds
@@ -140,14 +134,6 @@ type Progress struct {
 	Final     bool   // last update for this phase
 }
 
-// defaultSampleEvery is the attribution sampling period in *flushes*:
-// one flush in every N is timed per observer pass and the totals are
-// extrapolated over the whole event stream. A timed flush covers a
-// full batch, so the sampled fraction of events is 1/N — the same
-// coverage the pre-batch per-instruction sampler had — while the
-// clock reads drop from two per event to two per N*batchSize events.
-const defaultSampleEvery = 1024
-
 // batchSize is the event-batch length of the observer-major dispatch:
 // big enough to amortize per-pass call overhead and keep each
 // observer's code and branch-predictor state hot across a whole pass,
@@ -173,7 +159,6 @@ type batch struct {
 	calls []cpu.CallEvent
 	rets  []cpu.RetEvent
 	kinds []uint8
-	timed bool // this flush's passes are timed for cost attribution
 	// counting is the window state the batch's events retired under,
 	// set by flush: the passes read it here, not from the Pipeline.
 	counting bool
@@ -197,7 +182,7 @@ type stage struct {
 	name   string
 	run    func(b *batch)
 	helper bool          // runs on the observer helper when one is armed
-	ns     time.Duration // summed pass time (exact, not sampled)
+	ns     time.Duration // summed time of every pass, timed on every flush
 }
 
 // Where each pass runs when core.Run arms an observer helper
@@ -243,15 +228,9 @@ type Pipeline struct {
 	counting bool
 	b        batch
 
-	// Observer cost attribution: when sampleEvery > 0, one flush in
-	// every sampleEvery is timed per observer pass (samples counts the
-	// events those flushes covered, totalEvs the whole stream, so the
-	// cost report extrapolates).
-	stages      []stage
-	sampleEvery uint64
-	flushes     uint64
-	samples     uint64
-	totalEvs    uint64
+	// stages are the observer passes in pipeline order, each with its
+	// summed pass time.
+	stages []stage
 
 	// Observer helper (helper.go): h is set while one is armed.
 	// helperNames lists the stages a helper ran; helperWaits and
@@ -280,12 +259,6 @@ func NewPipeline(im *program.Image, cfg Config) *Pipeline {
 	p := &Pipeline{Rep: repetition.NewTracker(words)}
 	if cfg.MaxInstances > 0 {
 		p.Rep.MaxInstances = cfg.MaxInstances
-	}
-	switch {
-	case cfg.ObserverSampleEvery > 0:
-		p.sampleEvery = uint64(cfg.ObserverSampleEvery)
-	case cfg.ObserverSampleEvery == 0:
-		p.sampleEvery = defaultSampleEvery
 	}
 	p.b = *newBatch()
 	add := func(name string, helper bool, run func(*batch)) {
@@ -427,12 +400,13 @@ func (p *Pipeline) OnInst(ev *cpu.Event) {
 
 // flush runs every enabled analysis over the buffered batch, stage by
 // stage in the order the per-event dispatch used: the census first
-// (producing the verdict for each instruction), then the rest. With a
-// helper armed it runs the run-goroutine stages and hands the batch,
-// verdicts included, to the helper for the rest; it first raises a panic
-// the helper recovered. Once more CPUs are claimed than GOMAXPROCS it
-// drains the helper, raising a panic from the batches still queued, and
-// gives the helper up.
+// (producing the verdict for each instruction), then the rest. Every
+// pass is timed: one clock stamp per flush, then one monotonic reading
+// per pass. With a helper armed it runs the run-goroutine stages and
+// hands the batch, verdicts included, to the helper for the rest; it
+// first raises a panic the helper recovered. Once more CPUs are claimed
+// than GOMAXPROCS it drains the helper, raising a panic from the batches
+// still queued, and gives the helper up.
 func (p *Pipeline) flush() {
 	b := &p.b
 	if len(b.kinds) == 0 {
@@ -447,25 +421,17 @@ func (p *Pipeline) flush() {
 		}
 	}
 	b.counting = p.counting
-	b.timed = p.sampleEvery > 0 && p.flushes%p.sampleEvery == 0
-	p.flushes++
-	p.totalEvs += uint64(len(b.evs))
-	var now time.Time
-	if b.timed {
-		p.samples += uint64(len(b.evs))
-		now = time.Now()
-	}
+	start := time.Now()
+	var prev time.Duration
 	for i := range p.stages {
 		st := &p.stages[i]
 		if st.helper && p.h != nil {
 			continue
 		}
 		st.run(b)
-		if b.timed {
-			t := time.Now()
-			st.ns += t.Sub(now)
-			now = t
-		}
+		d := time.Since(start)
+		st.ns += d - prev
+		prev = d
 	}
 	if p.h != nil {
 		p.handoff(b)
@@ -510,27 +476,23 @@ func panicAt(at uint64, msg string) func(*batch) {
 	}
 }
 
-// ObserverCosts reports the per-observer pass times, extrapolated
-// from the timed flushes over the whole event stream (EstimatedNS =
-// SampledNS scaled by totalEvents/sampledEvents). With a helper armed,
-// read it only after a drain (SetCounting or Collect).
+// ObserverCosts reports each pass's summed time over every flush so
+// far (EstimatedNS) and its share of all the passes' time, or nil
+// before the first flush. With a helper armed, read it only after a
+// drain (SetCounting or Collect): the helper's pass times reach the
+// stages there.
 func (p *Pipeline) ObserverCosts() []obs.ObserverCost {
-	if p.samples == 0 {
-		return nil
-	}
-	scale := float64(p.totalEvs) / float64(p.samples)
 	out := make([]obs.ObserverCost, len(p.stages))
 	var total int64
 	for i, st := range p.stages {
-		ns := st.ns.Nanoseconds()
-		out[i] = obs.ObserverCost{Name: st.name, Samples: p.samples, SampledNS: ns,
-			EstimatedNS: int64(float64(ns) * scale)}
+		out[i] = obs.ObserverCost{Name: st.name, EstimatedNS: st.ns.Nanoseconds()}
 		total += out[i].EstimatedNS
 	}
-	if total > 0 {
-		for i := range out {
-			out[i].SharePct = 100 * float64(out[i].EstimatedNS) / float64(total)
-		}
+	if total == 0 {
+		return nil
+	}
+	for i := range out {
+		out[i].SharePct = 100 * float64(out[i].EstimatedNS) / float64(total)
 	}
 	return out
 }
@@ -833,7 +795,6 @@ type window interface {
 func (p *Pipeline) open() { p.SetCounting(true) }
 
 func (p *Pipeline) describe(rm *obs.RunMetrics) {
-	rm.ObserverSampleEvery = p.sampleEvery
 	rm.Observers = p.ObserverCosts()
 	rm.ObserverHelper = p.helperNames
 	rm.HelperWaits = p.helperWaits

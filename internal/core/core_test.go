@@ -231,7 +231,6 @@ func TestRunMetricsCollected(t *testing.T) {
 	cfg := core.Config{
 		SkipInstructions:    10_000,
 		MeasureInstructions: 100_000,
-		ObserverSampleEvery: 16,
 		Progress:            func(p core.Progress) { updates = append(updates, p) },
 	}
 	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
@@ -283,8 +282,8 @@ func TestRunMetricsCollected(t *testing.T) {
 	var observers []string
 	var share float64
 	for _, o := range m.Observers {
-		if o.Samples == 0 {
-			t.Errorf("observer %s never sampled", o.Name)
+		if o.EstimatedNS <= 0 {
+			t.Errorf("observer %s was never timed", o.Name)
 		}
 		observers = append(observers, o.Name)
 		share += o.SharePct
@@ -332,27 +331,5 @@ func TestRunMetricsInterpretedPath(t *testing.T) {
 	if m := r.Metrics; m.ExecPath != obs.ExecInterpreted || m.BlocksTranslated != 0 || m.FallbackSteps != 0 {
 		t.Errorf("exec path = %q (%d blocks, %d fallback steps), want interpreted with no translation",
 			m.ExecPath, m.BlocksTranslated, m.FallbackSteps)
-	}
-}
-
-func TestRunMetricsSamplingDisabled(t *testing.T) {
-	w, _ := workloads.ByName("lzw")
-	im, err := w.Image()
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.Config{
-		MeasureInstructions: 50_000,
-		ObserverSampleEvery: -1,
-	}
-	r, err := core.Run(context.Background(), im, w.Input(1), "lzw", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Metrics == nil {
-		t.Fatal("no RunMetrics on report")
-	}
-	if len(r.Metrics.Observers) != 0 {
-		t.Errorf("attribution should be disabled, got %+v", r.Metrics.Observers)
 	}
 }

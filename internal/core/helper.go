@@ -76,7 +76,7 @@ type helperPanic struct {
 // and emptied, from free; busy counts the batches handed over and not yet
 // observed.
 type helper struct {
-	stages []*stage // the helper-side passes, in pipeline order
+	passes []helperPass // the helper-side passes, in pipeline order
 	// work and free each hold every ring batch, so neither send blocks.
 	work   chan *batch
 	free   chan *batch
@@ -91,16 +91,27 @@ type helper struct {
 	raised  bool // failed has been re-raised on the run goroutine
 }
 
+// helperPass is one helper-side pass as the helper goroutine sees it: a
+// copy of the stage's run func, and ns, the time spent in the pass since
+// fold last added it to st. The helper never touches the stage list,
+// where the run goroutine adds up its own passes' times on every flush,
+// so no line of it is written on one CPU and read on the other.
+type helperPass struct {
+	run func(*batch)
+	ns  time.Duration
+	st  *stage // read by fold only, on the run goroutine
+}
+
 // armHelper starts a helper goroutine for the helper-side stages when
 // there are any and a CPU is spare. disarm stops it.
 func (p *Pipeline) armHelper() {
-	var stages []*stage
+	var passes []helperPass
 	for i := range p.stages {
 		if st := &p.stages[i]; st.helper {
-			stages = append(stages, st)
+			passes = append(passes, helperPass{run: st.run, st: st})
 		}
 	}
-	if len(stages) == 0 {
+	if len(passes) == 0 {
 		return
 	}
 	limit := int64(runtime.GOMAXPROCS(0))
@@ -108,11 +119,11 @@ func (p *Pipeline) armHelper() {
 	if !ok {
 		return
 	}
-	for _, st := range stages {
-		p.helperNames = append(p.helperNames, st.name)
+	for _, ps := range passes {
+		p.helperNames = append(p.helperNames, ps.st.name)
 	}
 	p.h = &helper{
-		stages:  stages,
+		passes:  passes,
 		work:    make(chan *batch, helperRing),
 		free:    make(chan *batch, helperRing),
 		exited:  make(chan struct{}),
@@ -138,6 +149,7 @@ func (p *Pipeline) disarm() {
 	p.h = nil
 	close(h.work)
 	<-h.exited
+	h.fold()
 	h.release()
 }
 
@@ -156,25 +168,34 @@ func (h *helper) loop() {
 	}
 }
 
-// observe runs the helper-side passes over one batch, keeping a panic
-// and the helper's stack for the run goroutine to raise.
+// observe runs the helper-side passes over one batch, timing each the
+// way flush times the run goroutine's, and keeps a panic and the
+// helper's stack for the run goroutine to raise.
 func (h *helper) observe(b *batch) {
 	defer func() {
 		if pv := recover(); pv != nil {
 			h.failed.Store(&helperPanic{value: pv, stack: debug.Stack()})
 		}
 	}()
-	var now time.Time
-	if b.timed {
-		now = time.Now()
+	start := time.Now()
+	var prev time.Duration
+	for i := range h.passes {
+		ps := &h.passes[i]
+		ps.run(b)
+		d := time.Since(start)
+		ps.ns += d - prev
+		prev = d
 	}
-	for _, st := range h.stages {
-		st.run(b)
-		if b.timed {
-			t := time.Now()
-			st.ns += t.Sub(now)
-			now = t
-		}
+}
+
+// fold adds the helper's pass times to their stages. The run goroutine
+// calls it only while the helper observes nothing: after a drain, or
+// once the helper goroutine has exited.
+func (h *helper) fold() {
+	for i := range h.passes {
+		ps := &h.passes[i]
+		ps.st.ns += ps.ns
+		ps.ns = 0
 	}
 }
 
@@ -204,10 +225,11 @@ func (h *helper) overcommitted() bool {
 }
 
 // drain waits until the helper has observed every batch handed to it,
-// then raises a helper panic if one is pending. b is the run goroutine's
-// batch.
+// folds the helper's pass times into the stages, then raises a helper
+// panic if one is pending. b is the run goroutine's batch.
 func (h *helper) drain(b *batch) {
 	h.busy.Wait()
+	h.fold()
 	h.raise(b)
 }
 

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -362,18 +363,18 @@ var straightProgram = func() string {
 }()
 
 // TestMeasureSpanCoversLastBatch runs a window shorter than one batch
-// with every pass timed and the helper held off. The window's events
-// are observed when the run ends, which must happen inside the measure
-// span, so the span lasts at least as long as the timed passes. The
-// run is interpreted because translating straight-line code, which the
-// translated path does inside the window, costs more than observing it.
+// with the helper held off. The window's events are observed when the
+// run ends, which must happen inside the measure span, so the span
+// lasts at least as long as the timed passes. The run is interpreted
+// because translating straight-line code, which the translated path
+// does inside the window, costs more than observing it.
 func TestMeasureSpanCoversLastBatch(t *testing.T) {
 	im, err := minic.Compile(straightProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer holdOffHelper()()
-	cfg := core.Config{MeasureInstructions: 200, ObserverSampleEvery: 1, DisableTranslation: true}
+	cfg := core.Config{MeasureInstructions: 200, DisableTranslation: true}
 	r, err := core.Run(context.Background(), im, nil, "window", cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +385,7 @@ func TestMeasureSpanCoversLastBatch(t *testing.T) {
 	}
 	var passes int64
 	for _, o := range r.Metrics.Observers {
-		passes += o.SampledNS
+		passes += o.EstimatedNS
 	}
 	if passes == 0 {
 		t.Fatal("no observer pass was timed")
@@ -392,5 +393,56 @@ func TestMeasureSpanCoversLastBatch(t *testing.T) {
 	if measure.WallNS < passes {
 		t.Errorf("measure phase %dns is shorter than the %dns of observer passes it should contain",
 			measure.WallNS, passes)
+	}
+}
+
+// TestHelperPassTimesWithinWall runs the checkpoint test program, skip
+// window included, with the helper armed and held off. One goroutine
+// runs its passes one after another, all of them between the start of
+// skip and the end of measure, so the run goroutine's passes, and
+// separately the helper's (the stages ObserverHelper names), add up to
+// no more than that wall time.
+func TestHelperPassTimesWithinWall(t *testing.T) {
+	im := checkpointTestImage(t)
+	spareCPU(t)
+	for _, arm := range []bool{true, false} {
+		release := func() {}
+		if !arm {
+			release = holdOffHelper()
+		}
+		r, err := core.Run(context.Background(), im, nil, "wall", helperTestConfig())
+		release()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if armed(r) != arm {
+			t.Fatalf("armed = %v, want %v", armed(r), arm)
+		}
+		m := r.Metrics
+		skip, measure := m.Phases.Find("skip"), m.Phases.Find("measure")
+		if skip == nil || measure == nil {
+			t.Fatal("no skip or measure phase")
+		}
+		wall := measure.StartNS + measure.WallNS - skip.StartNS
+		var run, helper int64
+		for _, o := range m.Observers {
+			if slices.Contains(m.ObserverHelper, o.Name) {
+				helper += o.EstimatedNS
+			} else {
+				run += o.EstimatedNS
+			}
+		}
+		if run == 0 || arm && helper == 0 {
+			t.Errorf("armed %v: run-side passes %dns, helper-side %dns: a side was never timed", arm, run, helper)
+		}
+		for _, side := range []struct {
+			name string
+			ns   int64
+		}{{"run goroutine", run}, {"helper", helper}} {
+			if side.ns > wall {
+				t.Errorf("armed %v: the %s's passes took %dns, more than the %dns from skip to the end of measure",
+					arm, side.name, side.ns, wall)
+			}
+		}
 	}
 }

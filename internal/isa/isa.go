@@ -95,13 +95,6 @@ func RegByName(name string) (reg int, ok bool) {
 	return n, true
 }
 
-// IsCalleeSaved reports whether register r must be preserved across
-// calls under the o32 convention ($s0..$s7, $fp, and by construction
-// $gp/$sp).
-func IsCalleeSaved(r int) bool {
-	return (r >= RegS0 && r <= RegS7) || r == RegFP || r == RegGP || r == RegSP
-}
-
 // Op is a machine operation.
 type Op uint8
 
@@ -368,8 +361,3 @@ func (in Inst) String() string {
 
 // Nop returns the canonical no-op (sll $zero, $zero, 0).
 func Nop() Inst { return Inst{Op: OpSLL} }
-
-// IsNop reports whether in has no architectural effect.
-func IsNop(in Inst) bool {
-	return in.Op == OpSLL && in.Rd == 0 && in.Rt == 0 && in.Imm == 0
-}

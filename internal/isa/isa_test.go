@@ -49,21 +49,6 @@ func itoa(n int) string {
 	return string(b)
 }
 
-func TestIsCalleeSaved(t *testing.T) {
-	saved := []int{RegS0, RegS1, RegS7, RegFP, RegGP, RegSP}
-	for _, r := range saved {
-		if !IsCalleeSaved(r) {
-			t.Errorf("IsCalleeSaved(%s) = false", RegName(r))
-		}
-	}
-	notSaved := []int{RegZero, RegAT, RegV0, RegA0, RegT0, RegT9, RegRA}
-	for _, r := range notSaved {
-		if IsCalleeSaved(r) {
-			t.Errorf("IsCalleeSaved(%s) = true", RegName(r))
-		}
-	}
-}
-
 func TestOpByName(t *testing.T) {
 	for op := Op(1); op < numOps; op++ {
 		got, ok := OpByName(op.String())
@@ -89,12 +74,6 @@ func TestOpKindCoverage(t *testing.T) {
 }
 
 func TestNop(t *testing.T) {
-	if !IsNop(Nop()) {
-		t.Error("IsNop(Nop()) = false")
-	}
-	if IsNop(Inst{Op: OpSLL, Rd: 1, Rt: 1, Imm: 2}) {
-		t.Error("real shift classified as nop")
-	}
 	w, err := Encode(Nop())
 	if err != nil || w != 0 {
 		t.Errorf("Encode(nop) = %#x, %v; want 0", w, err)

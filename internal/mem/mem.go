@@ -131,15 +131,6 @@ func (m *Memory) StoreBytes(addr uint32, b []byte) {
 	}
 }
 
-// LoadBytes copies n bytes starting at addr into a fresh slice.
-func (m *Memory) LoadBytes(addr uint32, n int) []byte {
-	out := make([]byte, n)
-	for i := range out {
-		out[i] = m.LoadByte(addr + uint32(i))
-	}
-	return out
-}
-
 // ReadCString reads a NUL-terminated string at addr, up to max bytes.
 func (m *Memory) ReadCString(addr uint32, max int) string {
 	var out []byte

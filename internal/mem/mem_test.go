@@ -65,7 +65,11 @@ func TestBulkBytes(t *testing.T) {
 	m := New()
 	data := []byte("hello, world")
 	m.StoreBytes(0x5000, data)
-	if got := string(m.LoadBytes(0x5000, len(data))); got != string(data) {
+	got := make([]byte, len(data))
+	for i := range got {
+		got[i] = m.LoadByte(0x5000 + uint32(i))
+	}
+	if string(got) != string(data) {
 		t.Errorf("round trip = %q", got)
 	}
 }

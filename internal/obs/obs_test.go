@@ -79,20 +79,6 @@ func TestSpanNesting(t *testing.T) {
 	}
 }
 
-func TestSpanTime(t *testing.T) {
-	root := StartSpan("run")
-	ran := false
-	root.Time("step", func() { ran = true })
-	root.End()
-	if !ran {
-		t.Fatal("fn not run")
-	}
-	tree := root.Tree()
-	if len(tree.Children) != 1 || tree.Children[0].Name != "step" {
-		t.Errorf("tree = %+v", tree)
-	}
-}
-
 // TestRunMetricsGolden pins the -metrics text rendering for a fixed
 // document.
 func TestRunMetricsGolden(t *testing.T) {
@@ -120,17 +106,16 @@ func TestRunMetricsGolden(t *testing.T) {
 				{Class: "store", Count: 250_000},
 			},
 		},
-		RetireRateMIPS:      4.17,
-		ExecPath:            ExecTranslated,
-		BlocksTranslated:    1_234,
-		FallbackSteps:       2,
-		ObserverHelper:      []string{"local", "reuse"},
-		HelperWaits:         3,
-		HelperWaitNS:        1_500_000,
-		ObserverSampleEvery: 64,
+		RetireRateMIPS:   4.17,
+		ExecPath:         ExecTranslated,
+		BlocksTranslated: 1_234,
+		FallbackSteps:    2,
+		ObserverHelper:   []string{"local", "reuse"},
+		HelperWaits:      3,
+		HelperWaitNS:     1_500_000,
 		Observers: []ObserverCost{
-			{Name: "repetition", Samples: 78125, SampledNS: 6_250_000, EstimatedNS: 400_000_000, SharePct: 40},
-			{Name: "taint", Samples: 78125, SampledNS: 9_375_000, EstimatedNS: 600_000_000, SharePct: 60},
+			{Name: "repetition", EstimatedNS: 400_000_000, SharePct: 40},
+			{Name: "taint", EstimatedNS: 600_000_000, SharePct: 60},
 		},
 	}
 	want := strings.Join([]string{
@@ -150,7 +135,7 @@ func TestRunMetricsGolden(t *testing.T) {
 		"  branches               800,000 (600,000 taken)",
 		"  syscalls               12",
 		"  class mix              alu 59.0%, load 20.0%, branch 16.0%, store 5.0%",
-		"observers (sampled 1/64, estimated):",
+		"observers (CPU time per pass):",
 		"  repetition    40.0%  400ms",
 		"  taint         60.0%  600ms",
 		"",

@@ -8,9 +8,9 @@ import (
 
 // RunMetrics is the observability document produced for every
 // pipeline run: the phase-timing tree, simulator counters, the retire
-// rate over the measure window, and the sampled per-observer cost
-// attribution. It is serialized inside the Report JSON (-json) and
-// rendered by FormatText for `instrep run -metrics text`.
+// rate over the measure window, and the per-observer pass times. It is
+// serialized inside the Report JSON (-json) and rendered by FormatText
+// for `instrep run -metrics text`.
 type RunMetrics struct {
 	Benchmark string `json:"benchmark"`
 
@@ -55,11 +55,8 @@ type RunMetrics struct {
 	HelperWaits  uint64 `json:"helper_waits"`
 	HelperWaitNS int64  `json:"helper_wait_ns"`
 
-	// ObserverSampleEvery is the attribution sampling period: one in
-	// every N instructions is individually timed per observer.
-	ObserverSampleEvery uint64 `json:"observer_sample_every,omitempty"`
-
-	// Observers attributes analysis cost per attached observer.
+	// Observers attributes analysis cost per attached observer, in
+	// pipeline order.
 	Observers []ObserverCost `json:"observers,omitempty"`
 
 	// Waves, present when the run was re-measured by the min-of-N-waves
@@ -129,17 +126,15 @@ type ClassCount struct {
 	Count uint64 `json:"count"`
 }
 
-// ObserverCost is the sampled cost attribution for one observer.
+// ObserverCost is the CPU time one observer's passes took.
 type ObserverCost struct {
 	Name string `json:"name"`
-	// Samples is how many instructions were individually timed.
-	Samples uint64 `json:"samples"`
-	// SampledNS is the summed time of the timed calls only.
-	SampledNS int64 `json:"sampled_ns"`
-	// EstimatedNS extrapolates SampledNS over every instruction
-	// (SampledNS * sample period).
+	// EstimatedNS is the measured sum of every pass's time, each timed
+	// on the goroutine that ran it; nothing is sampled or scaled. The
+	// field keeps the name it had when it held an extrapolation,
+	// because the benchmark's ledger (perfbench) reads it.
 	EstimatedNS int64 `json:"estimated_ns"`
-	// SharePct is this observer's share of total attributed time.
+	// SharePct is this observer's share of all the passes' time.
 	SharePct float64 `json:"share_pct"`
 }
 
@@ -192,7 +187,7 @@ func (m *RunMetrics) FormatText() string {
 		kv("class mix", strings.Join(parts, ", "))
 	}
 	if len(m.Observers) > 0 {
-		fmt.Fprintf(&b, "observers (sampled 1/%d, estimated):\n", m.ObserverSampleEvery)
+		b.WriteString("observers (CPU time per pass):\n")
 		for _, o := range m.Observers {
 			fmt.Fprintf(&b, "  %-12s %5.1f%%  %s\n", o.Name, o.SharePct,
 				FormatDuration(time.Duration(o.EstimatedNS)))

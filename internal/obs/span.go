@@ -66,13 +66,6 @@ func (s *Span) Attr(key string) any {
 	return s.attrs[key]
 }
 
-// Time runs fn inside a child span and returns its duration.
-func (s *Span) Time(name string, fn func()) time.Duration {
-	c := s.StartChild(name)
-	fn()
-	return c.End()
-}
-
 // End stops the span and returns its duration. Ending twice is safe;
 // the first End wins.
 func (s *Span) End() time.Duration {

@@ -124,14 +124,3 @@ func (im *Image) FuncAt(pc uint32) *Func {
 // StaticInstructions returns the size of the text segment in
 // instructions (the paper's "Total static instructions").
 func (im *Image) StaticInstructions() int { return len(im.Text) }
-
-// IsDataAddr reports whether addr falls in the static data segment.
-func (im *Image) IsDataAddr(addr uint32) bool {
-	return addr >= DataBase && addr < DataBase+uint32(len(im.Data))
-}
-
-// IsInitializedData reports whether addr falls in the explicitly
-// initialized prefix of the data segment.
-func (im *Image) IsInitializedData(addr uint32) bool {
-	return addr >= DataBase && addr < DataBase+uint32(im.InitializedLen)
-}

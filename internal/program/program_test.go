@@ -74,15 +74,6 @@ func TestInstAt(t *testing.T) {
 
 func TestAddressClassifiers(t *testing.T) {
 	im := testImage()
-	if !im.IsDataAddr(DataBase) || !im.IsDataAddr(DataBase+99) {
-		t.Error("data range misclassified")
-	}
-	if im.IsDataAddr(DataBase + 100) {
-		t.Error("past-data address classified as data")
-	}
-	if !im.IsInitializedData(DataBase+39) || im.IsInitializedData(DataBase+40) {
-		t.Error("initialized prefix misclassified")
-	}
 	hb := im.HeapBase()
 	if hb < DataBase+100 || hb%0x1000 != 0 {
 		t.Errorf("heap base = %#x", hb)

@@ -304,19 +304,6 @@ func (t *Tracker) StaticRepeated() int {
 	return n
 }
 
-// BuffersFilled returns how many static instructions exhausted their
-// instance buffers (a capacity diagnostic; the paper sized buffers so
-// this is rare).
-func (t *Tracker) BuffersFilled() int {
-	n := 0
-	for i := range t.recs {
-		if t.recs[i].full {
-			n++
-		}
-	}
-	return n
-}
-
 // UniqueRepeatableInstances returns the count of buffered instances
 // that were repeated at least once (Table 2 "Count") and the average
 // number of repeats per such instance (Table 2 "Avg. Repeats").

@@ -145,7 +145,6 @@ func TestFingerprintNormalization(t *testing.T) {
 	exec.Parallel = 7
 	exec.Timeout = time.Minute
 	exec.WatchdogInterval = time.Second
-	exec.ObserverSampleEvery = 17
 	exec.Progress = func(core.Progress) {}
 	if Fingerprint("w", "s", zero) != Fingerprint("w", "s", exec) {
 		t.Error("execution-only fields must not change the fingerprint")
