@@ -4,38 +4,47 @@
 
 all: check
 
-# Default gate: build+test, static analysis, gofmt, the race detector
-# (includes the concurrent-Progress ticker test and the resilience
-# tests), an enforced coverage floor, a quick benchmark smoke run,
-# the interpreter-vs-translator differential suite under -race,
-# a bounded fuzz pass over the panic-sensitive decoders, the
-# SIGKILL/resume checkpoint loop, the durable-job crash/restart
-# chaos test, the extended chaos run against the overload-hardened
-# server, a tiny end-to-end design-space sweep through the CLI, and the
-# benchmark module's own vet and tests.
-check: test vet lint race cover benchsmoke differential fuzzsmoke crashsmoke jobsmoke stress sweepsmoke perfbench
+# Default gate. Each check runs once: the whole suite with a coverage
+# profile (test) and the floor read from it (cover), gofmt and go vet
+# (lint), every test under the race detector (race: the differential
+# harness, the resilience tests, the durable-job crash/restart test
+# and a short chaos run among them), a quick benchmark smoke run, the
+# observer helper's tests repeated under -race (differential), a
+# bounded fuzz pass over the panic-sensitive decoders, the
+# SIGKILL/resume checkpoint soak, the extended chaos run against the
+# overload-hardened server, a tiny end-to-end design-space sweep
+# through the CLI, and the benchmark module's own vet and tests.
+# `vet` and `jobsmoke` stay for use by hand: lint and race cover them.
+check: test lint race cover benchsmoke differential fuzzsmoke crashsmoke stress sweepsmoke perfbench
 
-# Enforced statement-coverage floor across the whole module. The
-# current baseline is ~84%; the floor sits a few points below so
-# honest refactors don't trip it while untested subsystems do.
+# Enforced statement-coverage floor across the whole module, read from
+# the profile `test` writes. The current baseline is ~84%; the floor
+# sits a few points below so honest refactors don't trip it while
+# untested subsystems do.
 COVER_FLOOR := 78
 
-cover:
-	go test -count=1 -coverprofile=cover.out -coverpkg=./... ./... > /dev/null
+cover: test
 	@total=$$(go tool cover -func=cover.out | awk '/^total:/ { gsub("%","",$$3); print $$3 }'); \
 	awk -v t=$$total -v floor=$(COVER_FLOOR) 'BEGIN { \
 		if (t+0 < floor+0) { printf "FAIL: coverage %.1f%% is below the %d%% floor\n", t, floor; exit 1 } \
 		printf "coverage %.1f%% (floor %d%%)\n", t, floor }'
 
+# The whole suite once, without -race, writing the coverage profile
+# `cover` checks.
 test:
-	go build ./... && go test ./...
+	go build ./... && go test -coverprofile=cover.out -coverpkg=./... ./...
 
 vet:
 	go vet ./...
 
-# The root package alone takes 320-375 s under -race on two CPUs;
-# tested beside the other packages it has taken 534 s and, once, passed
-# Go's 10-minute test timeout. So it runs on its own, after the rest.
+# Every package under the race detector. The root package alone takes
+# 320-375 s under -race on two CPUs; tested beside the other packages
+# it has taken 534 s and, once, passed Go's 10-minute test timeout. So
+# it runs on its own, after the rest. This is the one -race run of the
+# differential harness (-run Differential over internal/cpu and the
+# root package: translated vs interpreted, watchdog armed vs not,
+# observer helper armed vs held off) and of the durable-job crash test
+# `jobsmoke` names.
 race:
 	go test -race $$(go list ./... | grep -vx repro)
 	go test -race .
@@ -52,17 +61,17 @@ bench:
 	go test -run '^$$' -bench . -benchmem -benchtime 1x -count 3 .
 	go run ./cmd/instrep run -bench all -waves $(WAVES) -metrics json > BENCH_run.json
 
-# Execution-path equivalence: the machine-level event-stream/state
-# differential (random programs + workload prefixes, all three
-# dispatch paths) and the pipeline-level canonical-report
-# differentials, translated vs interpreted, watchdog armed vs
-# unarmed (armed runs must match the golden corpus and stay
-# translated), and observer helper armed vs held off (fresh, resumed,
-# and giving its CPU up mid-window), under the race detector. The
-# helper's own tests reach its ring, its CPU budget and its panic
-# hand-over from two goroutines, so they repeat ten times.
+# The observer helper's soak. The execution-path differentials (the
+# machine-level event-stream/state differential over random programs
+# and workload prefixes on all three dispatch paths, and the
+# pipeline-level canonical-report differentials: translated vs
+# interpreted, watchdog armed vs unarmed, observer helper armed vs
+# held off, fresh, resumed and giving its CPU up mid-window) run once
+# under -race in `race`; run them alone with
+# `go test -race -run Differential ./internal/cpu .`. The helper's own
+# tests reach its ring, its CPU budget and its panic hand-over from two
+# goroutines, so they repeat ten times here.
 differential:
-	go test -race -count=1 -run Differential ./internal/cpu .
 	go test -race -count=10 -run Helper ./internal/core
 
 # One-iteration smoke of the throughput benchmarks, of building a
@@ -97,6 +106,8 @@ crashsmoke:
 # the same journal/checkpoint directories, and require the recovered
 # job to resume mid-simulation (not restart) and finish with a report
 # byte-identical to a straight-through run, under the race detector.
+# `race` runs the same test with the same flags, so `check` leaves
+# this target out; it stays for running the test alone.
 jobsmoke:
 	go test -race -run 'TestJobCrashResumeAcrossProcesses' -count=1 .
 

@@ -18,6 +18,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro"
 	"repro/internal/jobs"
 )
 
@@ -151,6 +152,12 @@ func cmdJobSubmit(ctx context.Context, args []string) error {
 	}
 	if *bench == "" {
 		return fmt.Errorf("job submit needs -bench")
+	}
+	// The server checks the whole spec; checking the set fields here
+	// too reports a negative or oversized value before any request.
+	local := repro.Config{MaxInstances: *instances, ReuseEntries: *reuseEntries, ReuseAssoc: *reuseAssoc, InputVariant: *variant}
+	if err := local.Validate(); err != nil {
+		return err
 	}
 	base := normalizeAddr(*addr)
 

@@ -2,10 +2,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"os"
 	"syscall"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // TestSIGTERMTriggersGracefulShutdown pins the container-stop
@@ -82,5 +85,33 @@ func TestPollDelayClamps(t *testing.T) {
 	}
 	if d := pollDelay(3600); d != 5*time.Second {
 		t.Errorf("pollDelay(3600) = %v", d)
+	}
+}
+
+// TestConfigFlagsRejected: a reuse geometry or table size out of
+// core's range is an error from run, serve and job submit before any
+// simulation, listener or request, not a recovered panic. The context
+// is canceled, so a command that missed the check would return
+// another error instead of serving; no case here could allocate a
+// large buffer if it reached a run.
+func TestConfigFlagsRejected(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, c := range []struct {
+		cmd  string
+		run  func(context.Context, []string) error
+		args []string
+	}{
+		{"run", cmdRun, []string{"-bench", "lzw", "-reuse-assoc", "-1"}},
+		{"run", cmdRun, []string{"-bench", "lzw", "-instances", "-1"}},
+		{"serve", cmdServe, []string{"-addr", "127.0.0.1:0", "-reuse-entries", "2000000"}},
+		{"serve", cmdServe, []string{"-addr", "127.0.0.1:0", "-input-variant", "-1"}},
+		{"job submit", cmdJobSubmit, []string{"-addr", "127.0.0.1:1", "-bench", "lzw", "-reuse-assoc", "-1"}},
+		{"job submit", cmdJobSubmit, []string{"-addr", "127.0.0.1:1", "-bench", "lzw", "-reuse-assoc", "1000000000"}},
+	} {
+		var ce *core.ConfigError
+		if err := c.run(ctx, c.args); !errors.As(err, &ce) {
+			t.Errorf("%s %v: err %v, want a *core.ConfigError", c.cmd, c.args, err)
+		}
 	}
 }

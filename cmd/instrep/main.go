@@ -296,6 +296,21 @@ func cmdRun(ctx context.Context, args []string) error {
 			return fmt.Errorf("-resume needs -checkpoint-dir")
 		}
 	}
+	cfg := repro.Config{
+		SkipInstructions:    *skip,
+		MeasureInstructions: *measure,
+		MaxInstances:        *instances,
+		ReuseEntries:        *reuseEntries,
+		ReuseAssoc:          *reuseAssoc,
+		InputVariant:        *variant,
+		Parallel:            *parallel,
+		Timeout:             *timeout,
+		WatchdogInterval:    *watchdog,
+		DisableTranslation:  *noTranslate,
+	}
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -320,18 +335,6 @@ func cmdRun(ctx context.Context, args []string) error {
 		}()
 	}
 
-	cfg := repro.Config{
-		SkipInstructions:    *skip,
-		MeasureInstructions: *measure,
-		MaxInstances:        *instances,
-		ReuseEntries:        *reuseEntries,
-		ReuseAssoc:          *reuseAssoc,
-		InputVariant:        *variant,
-		Parallel:            *parallel,
-		Timeout:             *timeout,
-		WatchdogInterval:    *watchdog,
-		DisableTranslation:  *noTranslate,
-	}
 	if *progress {
 		// The run registry feeds the multi-workload display: when
 		// several simulations are in flight the ticker renders one
@@ -525,6 +528,20 @@ func cmdServe(ctx context.Context, args []string) error {
 	if *jobCkptEvery != 0 && *checkpointDir == "" {
 		return fmt.Errorf("-job-checkpoint-every needs -checkpoint-dir")
 	}
+	runCfg := repro.Config{
+		SkipInstructions:    *skip,
+		MeasureInstructions: *measure,
+		MaxInstances:        *instances,
+		ReuseEntries:        *reuseEntries,
+		ReuseAssoc:          *reuseAssoc,
+		InputVariant:        *variant,
+		Parallel:            *parallel,
+		Timeout:             *timeout,
+		WatchdogInterval:    *watchdog,
+	}
+	if err := runCfg.Validate(); err != nil {
+		return err
+	}
 
 	cache, err := resultcache.NewWith(resultcache.Options{
 		MaxEntries:   *cacheEntries,
@@ -560,17 +577,7 @@ func cmdServe(ctx context.Context, args []string) error {
 		access = reportserver.NewAccessLog(f)
 	}
 	srv := reportserver.New(reportserver.Config{
-		RunConfig: repro.Config{
-			SkipInstructions:    *skip,
-			MeasureInstructions: *measure,
-			MaxInstances:        *instances,
-			ReuseEntries:        *reuseEntries,
-			ReuseAssoc:          *reuseAssoc,
-			InputVariant:        *variant,
-			Parallel:            *parallel,
-			Timeout:             *timeout,
-			WatchdogInterval:    *watchdog,
-		},
+		RunConfig:          runCfg,
 		Cache:              cache,
 		Checkpoints:        ckStore,
 		RequestTimeout:     *reqTimeout,

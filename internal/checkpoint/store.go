@@ -79,9 +79,6 @@ func Open(dir string) (*Store, error) {
 	return s, nil
 }
 
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
-
 // validate decodes the file and deletes it (with the right counter)
 // when it cannot be resumed from: unreadable, undecodable, foreign
 // format version, or filed under the wrong key.

@@ -124,6 +124,59 @@ type Config struct {
 	Progress func(Progress)
 }
 
+// The largest reuse buffer a Config may ask for. A buffer stores
+// assoc ways for each reachable set and a hash bucket per stored way,
+// so a larger associativity would allocate gigabytes before the first
+// instruction runs. The sweep's entries and assoc axes share these
+// bounds.
+const (
+	MaxReuseEntries = 1 << 20
+	MaxReuseAssoc   = 256
+)
+
+// ConfigError reports a Config field that no run can honor. Run
+// returns it before it joins a replay group or allocates anything,
+// with no report; it is the caller's input at fault, so retrying the
+// same Config fails the same way.
+type ConfigError struct {
+	Field string // the Config field at fault
+	Msg   string
+}
+
+func (e *ConfigError) Error() string {
+	return fmt.Sprintf("core: Config.%s %s", e.Field, e.Msg)
+}
+
+// Validate checks the measurement fields that size a run's tables or
+// select its behavior, returning a *ConfigError for the first one out
+// of range. Zero keeps meaning the paper's default everywhere.
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    int
+		max  int // 0 = unbounded
+	}{
+		{"MaxInstances", c.MaxInstances, 0},
+		{"ReuseEntries", c.ReuseEntries, MaxReuseEntries},
+		{"ReuseAssoc", c.ReuseAssoc, MaxReuseAssoc},
+		{"VPredEntries", c.VPredEntries, 0},
+		{"InputVariant", c.InputVariant, 0},
+	} {
+		switch {
+		case f.v < 0:
+			return &ConfigError{Field: f.name, Msg: fmt.Sprintf("%d is negative (0 selects the default)", f.v)}
+		case f.max > 0 && f.v > f.max:
+			return &ConfigError{Field: f.name, Msg: fmt.Sprintf("%d is out of range [0, %d] (0 selects the default)", f.v, f.max)}
+		}
+	}
+	if !c.ReusePolicy.Valid() {
+		// Reject rather than fall back: a bogus policy would otherwise
+		// measure LRU under a key claiming something else.
+		return &ConfigError{Field: "ReusePolicy", Msg: fmt.Sprintf("%v is not a replacement policy", c.ReusePolicy)}
+	}
+	return nil
+}
+
 // Progress is one progress-callback update.
 type Progress struct {
 	Benchmark string
@@ -811,7 +864,8 @@ func (p *Pipeline) describe(rm *obs.RunMetrics) {
 // simulator faulted, or a panic was recovered — it returns a partial
 // Report flagged Truncated (statistics cover the instructions
 // measured so far, metrics included) alongside the error describing
-// the cut. Only a nil ctx is replaced with context.Background().
+// the cut. Only a nil ctx is replaced with context.Background(). A
+// Config that fails Validate returns its *ConfigError and no report.
 //
 // Under a context carrying ReplayGroups, an eligible run joins its
 // group first (replay.go): the group's first run leads and records its
@@ -824,10 +878,8 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	if !cfg.ReusePolicy.Valid() {
-		// Reject rather than silently fall back: a bogus policy would
-		// otherwise measure LRU under a key claiming something else.
-		return nil, fmt.Errorf("core: invalid reuse replacement policy %v", cfg.ReusePolicy)
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	// The wait for a group's leader comes before the CPU claim, so a
 	// waiting run holds none; the leader's group is released last, after

@@ -2,12 +2,14 @@ package core_test
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/minic"
 	"repro/internal/obs"
+	"repro/internal/reuse"
 	"repro/internal/workloads"
 )
 
@@ -331,5 +333,63 @@ func TestRunMetricsInterpretedPath(t *testing.T) {
 	if m := r.Metrics; m.ExecPath != obs.ExecInterpreted || m.BlocksTranslated != 0 || m.FallbackSteps != 0 {
 		t.Errorf("exec path = %q (%d blocks, %d fallback steps), want interpreted with no translation",
 			m.ExecPath, m.BlocksTranslated, m.FallbackSteps)
+	}
+}
+
+// TestConfigValidateEdges pins the bounds of every field Validate
+// checks, on each side of each edge. Only Validate runs here: no
+// buffer is built, so the large sizes allocate nothing.
+func TestConfigValidateEdges(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		cfg   core.Config
+		field string // "" = valid
+	}{
+		{"zero", core.Config{}, ""},
+		{"entries 1", core.Config{ReuseEntries: 1}, ""},
+		{"entries max", core.Config{ReuseEntries: core.MaxReuseEntries}, ""},
+		{"entries max+1", core.Config{ReuseEntries: core.MaxReuseEntries + 1}, "ReuseEntries"},
+		{"entries -1", core.Config{ReuseEntries: -1}, "ReuseEntries"},
+		{"assoc 1", core.Config{ReuseAssoc: 1}, ""},
+		{"assoc max", core.Config{ReuseAssoc: core.MaxReuseAssoc}, ""},
+		{"assoc max+1", core.Config{ReuseAssoc: core.MaxReuseAssoc + 1}, "ReuseAssoc"},
+		{"assoc 1e9", core.Config{ReuseAssoc: 1_000_000_000}, "ReuseAssoc"},
+		{"assoc -1", core.Config{ReuseAssoc: -1}, "ReuseAssoc"},
+		{"instances -1", core.Config{MaxInstances: -1}, "MaxInstances"},
+		{"instances large", core.Config{MaxInstances: 1 << 30}, ""},
+		{"vpred -1", core.Config{VPredEntries: -1}, "VPredEntries"},
+		{"vpred large", core.Config{VPredEntries: 1 << 30}, ""},
+		{"variant -1", core.Config{InputVariant: -1}, "InputVariant"},
+		{"variant 2", core.Config{InputVariant: 2}, ""},
+		{"policy random", core.Config{ReusePolicy: reuse.Random}, ""},
+		{"policy 99", core.Config{ReusePolicy: reuse.Policy(99)}, "ReusePolicy"},
+	} {
+		err := tc.cfg.Validate()
+		var ce *core.ConfigError
+		switch {
+		case tc.field == "" && err != nil:
+			t.Errorf("%s: Validate = %v, want nil", tc.name, err)
+		case tc.field != "" && !errors.As(err, &ce):
+			t.Errorf("%s: Validate = %v, want a *ConfigError", tc.name, err)
+		case tc.field != "" && ce.Field != tc.field:
+			t.Errorf("%s: error names %s, want %s (%v)", tc.name, ce.Field, tc.field, err)
+		}
+	}
+}
+
+// TestRunRejectsInvalidConfig: a geometry the reuse buffer cannot
+// build returns the typed error and no report, before any panic.
+func TestRunRejectsInvalidConfig(t *testing.T) {
+	im, err := minic.Compile(`int main() { return 0; }`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.Run(context.Background(), im, nil, "bad", core.Config{ReuseAssoc: -1})
+	var ce *core.ConfigError
+	if !errors.As(err, &ce) || ce.Field != "ReuseAssoc" {
+		t.Fatalf("Run err = %v, want a ReuseAssoc *ConfigError", err)
+	}
+	if rep != nil {
+		t.Errorf("Run returned a report with a rejected config: %+v", rep)
 	}
 }

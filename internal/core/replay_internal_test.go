@@ -76,6 +76,21 @@ func TestReplayRejectsForgedVerdicts(t *testing.T) {
 	}
 }
 
+// TestInvalidConfigJoinsNoGroup: a cell whose reuse geometry Validate
+// rejects returns before it joins its replay group, so it can neither
+// lead its siblings nor wait for a leader.
+func TestInvalidConfigJoinsNoGroup(t *testing.T) {
+	gs := NewReplayGroups()
+	ctx := WithReplayGroups(context.Background(), gs)
+	cfg := Config{SkipInstructions: 1000, MeasureInstructions: 10_000, ReuseAssoc: MaxReuseAssoc + 1}
+	if _, err := Run(ctx, replayTestImage(t), nil, "invalid", cfg); err == nil {
+		t.Fatal("Run accepted an out-of-range associativity")
+	}
+	if len(gs.groups) != 0 {
+		t.Errorf("the rejected run left %d groups, want 0", len(gs.groups))
+	}
+}
+
 // TestHelperStagesReadNoPipelineField zeroes a pipeline and then runs
 // each helper-side stage over a batch with the window open: a stage
 // that read a Pipeline field would panic or skip the batch (DESIGN.md

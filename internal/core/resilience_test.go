@@ -9,6 +9,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime/debug"
 	"strings"
 	"testing"
@@ -25,16 +26,22 @@ import (
 // nothing is injected.
 func loopImage(t *testing.T) *program.Image {
 	t.Helper()
-	im, err := minic.Compile(`
+	return countingLoop(t, 2_000_000)
+}
+
+// countingLoop compiles a program that loops n times and exits.
+func countingLoop(t *testing.T, n int) *program.Image {
+	t.Helper()
+	im, err := minic.Compile(fmt.Sprintf(`
 int main() {
 	int i;
 	int sum;
 	sum = 0;
-	for (i = 0; i < 2000000; i++) {
+	for (i = 0; i < %d; i++) {
 		sum = sum + (i & 7);
 	}
 	return sum & 255;
-}`)
+}`, n))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +150,13 @@ func TestRunWatchdog(t *testing.T) {
 	checkPartial(t, r, core.ReasonWatchdog)
 }
 
+// TestRunWatchdogPassesHealthyRun runs a program to its end with the
+// watchdog armed. It needs no abort window, so its loop is 20 times
+// shorter than loopImage's: run to its end with every observer,
+// loopImage takes about 106 s under -race on two CPUs.
 func TestRunWatchdogPassesHealthyRun(t *testing.T) {
 	cfg := core.Config{WatchdogInterval: 30 * time.Second}
-	r, err := core.Run(context.Background(), loopImage(t), nil, "healthy", cfg)
+	r, err := core.Run(context.Background(), countingLoop(t, 100_000), nil, "healthy", cfg)
 	if err != nil {
 		t.Fatalf("healthy run aborted: %v", err)
 	}

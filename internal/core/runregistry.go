@@ -59,16 +59,6 @@ func (r *RunRegistry) remove(id uint64) {
 	r.mu.Unlock()
 }
 
-// Len returns how many runs are in flight.
-func (r *RunRegistry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.runs)
-}
-
 // Snapshot lists the in-flight runs, oldest first (registration
 // order). The retire counts and MIPS are read from the runs' published
 // checkpoints, so they trail the simulator by at most one sub-chunk

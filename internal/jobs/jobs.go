@@ -106,7 +106,9 @@ func SpecFromConfig(workload string, cfg core.Config) Spec {
 // spec's: a job runs under the serving process's execution shaping
 // (timeout, watchdog, dispatch path, health and run registry) and
 // measures exactly what the spec names. It fails on an unknown
-// replacement policy; workload existence is checked by Validate.
+// replacement policy or a config core.Config.Validate rejects, such as
+// a reuse buffer too large to allocate; workload existence is checked
+// by Validate.
 func (s Spec) Config(base core.Config) (core.Config, error) {
 	cfg := base
 	cfg.SkipInstructions = s.Skip
@@ -130,10 +132,11 @@ func (s Spec) Config(base core.Config) (core.Config, error) {
 		}
 		cfg.ReusePolicy = p
 	}
-	return cfg, nil
+	return cfg, cfg.Validate()
 }
 
-// Validate checks the spec and returns its job ID — the result-cache
+// Validate checks the spec's workload and, through Config, every
+// measurement field, and returns its job ID — the result-cache
 // fingerprint of (workload source, measurement config, simulator
 // version). Identical measurements share an ID by construction, which
 // is what makes submission idempotent.

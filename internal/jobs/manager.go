@@ -502,7 +502,9 @@ func (m *Manager) runJob(j *job) {
 
 	cfg, err := rec.Spec.Config(m.opts.RunConfig)
 	if err != nil {
-		// Can't happen past Submit's validation; classify as permanent.
+		// Submit rejects such a spec, so only a journal an older build
+		// wrote holds one. It can never run: fail it for good, without
+		// spending the retry budget or reaching the breaker.
 		m.complete(j, &minic.Error{Msg: err.Error()})
 		return
 	}

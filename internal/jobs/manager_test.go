@@ -512,3 +512,66 @@ func TestManagerLogsLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestInvalidConfigRejectedAtSubmit: a spec whose measurement fields
+// core.Config.Validate rejects is a Submit error, so nothing is
+// journaled and nothing runs.
+func TestInvalidConfigRejectedAtSubmit(t *testing.T) {
+	dir := t.TempDir()
+	var runs atomic.Int64
+	m := openManager(t, dir, Options{Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		runs.Add(1)
+		return nil, errors.New("a rejected spec ran")
+	})})
+	m.Start()
+	for _, spec := range []Spec{
+		{Workload: "lzw", ReuseAssoc: -1},
+		{Workload: "lzw", ReuseAssoc: 1_000_000_000},
+		{Workload: "lzw", ReuseEntries: core.MaxReuseEntries + 1},
+		{Workload: "lzw", VPredEntries: -1},
+		{Workload: "lzw", MaxInstances: -1},
+		{Workload: "lzw", InputVariant: -1},
+	} {
+		var ce *core.ConfigError
+		if _, _, err := m.Submit(spec); !errors.As(err, &ce) {
+			t.Errorf("Submit(%+v) = %v, want a *core.ConfigError", spec, err)
+		}
+	}
+	if docs := m.List(); len(docs) != 0 {
+		t.Errorf("rejected specs left %d jobs", len(docs))
+	}
+	m.Drain()
+	if _, recs, err := OpenJournal(dir); err != nil || len(recs) != 0 {
+		t.Errorf("journal holds %d records (err %v), want none", len(recs), err)
+	}
+	if runs.Load() != 0 {
+		t.Errorf("runner called %d times", runs.Load())
+	}
+}
+
+// TestJournaledInvalidSpecFailsForGood: a queued record whose spec
+// Submit would now reject (one an older build journaled) fails at its
+// first attempt without calling the runner or spending a retry.
+func TestJournaledInvalidSpecFailsForGood(t *testing.T) {
+	dir := t.TempDir()
+	j, _, err := OpenJournal(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := Record{ID: "feedc0de", Spec: Spec{Workload: "lzw", ReuseAssoc: -1}, State: StateQueued}
+	if err := j.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	var runs atomic.Int64
+	m := openManager(t, dir, Options{Retries: 5, Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		runs.Add(1)
+		return nil, errors.New("an invalid spec ran")
+	})})
+	defer m.Drain()
+	m.Start()
+	doc := waitState(t, m, rec.ID, StateFailed)
+	if runs.Load() != 0 || doc.Retries != 0 || !strings.Contains(doc.Error, "ReuseAssoc") {
+		t.Errorf("journaled invalid spec: %d runs, doc %+v; want 0 runs, 0 retries, the config error", runs.Load(), doc)
+	}
+}

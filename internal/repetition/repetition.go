@@ -435,19 +435,6 @@ func (t *Tracker) InstanceCoverage(targets []float64) []float64 {
 	return out
 }
 
-// PerPC returns the dynamic and repeated counts for one static
-// instruction (testing and drill-down).
-func (t *Tracker) PerPC(pc uint32) (dyn, repeated uint64, ok bool) {
-	if pc < program.TextBase {
-		return 0, 0, false
-	}
-	idx := int((pc - program.TextBase) >> 2)
-	if idx >= len(t.recs) || t.recs[idx].dyn == 0 {
-		return 0, 0, false
-	}
-	return t.recs[idx].dyn, t.recs[idx].repeated, true
-}
-
 // coverageCurve sorts contributions descending and reports, for each
 // target percentage of total, the percentage of contributors needed.
 func coverageCurve(contribs []uint64, total uint64, targets []float64) []float64 {

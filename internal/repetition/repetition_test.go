@@ -290,25 +290,3 @@ func TestInstanceCoverageFullTargetExact(t *testing.T) {
 		}
 	}
 }
-
-func TestPerPC(t *testing.T) {
-	tr := NewTracker(testWords)
-	tr.Observe(ev(0x400000, 1, 1, 2))
-	tr.Observe(ev(0x400000, 1, 1, 2))
-	tr.Observe(ev(0x400100, 2, 2, 4))
-	dyn, rep, ok := tr.PerPC(0x400000)
-	if !ok || dyn != 2 || rep != 1 {
-		t.Errorf("PerPC = %d/%d/%v", dyn, rep, ok)
-	}
-	// Only executed PCs resolve: not a gap between two of them, nor a
-	// PC below the text segment or past the table.
-	if _, _, ok := tr.PerPC(0x400104); ok {
-		t.Error("gap pc should not resolve")
-	}
-	if _, _, ok := tr.PerPC(0x3ffff0); ok {
-		t.Error("pc below TextBase should not resolve")
-	}
-	if _, _, ok := tr.PerPC(0x999999); ok {
-		t.Error("PerPC of unseen pc should fail")
-	}
-}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -82,10 +83,22 @@ func retryAfterHeader(w http.ResponseWriter, d time.Duration) {
 // RunConfig so `{"workload":"lzw"}` submits the serving configuration
 // for lzw. Identical measurements dedupe onto one job: a fresh job
 // answers 202 Accepted, a pre-existing one 200 OK, both with a
-// Location pointing at the status endpoint.
+// Location pointing at the status endpoint. The spec decodes strictly,
+// as a sweep spec does: a misspelled field would otherwise measure
+// (or dedupe onto) the default configuration, so an unknown field or
+// trailing data is a 400, and so is any spec Submit rejects.
 func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	spec := jobs.SpecFromConfig("", s.cfg.RunConfig)
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&spec)
+	if err == nil {
+		// Token, not More: More reports no value ahead of a stray '}'.
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after spec object")
+		}
+	}
+	if err != nil {
 		s.fail(w, r, fmt.Errorf("bad job spec: %w", err), http.StatusBadRequest)
 		return
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -19,6 +20,7 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/minic"
 	"repro/internal/resultcache"
+	"repro/internal/sweep"
 )
 
 // newJobsServer builds a ready server with the job tier attached.
@@ -481,5 +483,70 @@ func TestServeDrainsJobs(t *testing.T) {
 	got := pollJob(t, ts.URL, doc.ID, jobs.StateDone)
 	if got.ID != doc.ID {
 		t.Errorf("recovered job id = %s, want %s", got.ID, doc.ID)
+	}
+}
+
+// TestJobSubmitRejectsBadSpecs: a spec with an out-of-range geometry,
+// a negative table size, an unknown field or trailing data is a 400.
+// Nothing is journaled, nothing runs (so no panic is recovered), and
+// the workload's breaker stays closed.
+func TestJobSubmitRejectsBadSpecs(t *testing.T) {
+	var runs atomic.Int64
+	run := func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		runs.Add(1)
+		return nil, errors.New("a rejected spec ran")
+	}
+	s, ts := newJobsServer(t, Config{Run: run, BreakerThreshold: 1}, JobsConfig{})
+	for _, body := range []string{
+		`{"workload":"lzw","reuse_assoc":-1}`,
+		`{"workload":"lzw","reuse_assoc":1000000000}`,
+		`{"workload":"lzw","vpred_entries":-1}`,
+		`{"workload":"lzw","reuse_entires":64}`,
+		`{"workload":"lzw"} {"workload":"lzw"}`,
+		`{"workload":"lzw"}}`,
+	} {
+		if code, _, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", body); code != http.StatusBadRequest {
+			t.Errorf("%s: code=%d body=%q, want 400", body, code, resp)
+		}
+	}
+	if docs := s.jobs.List(); len(docs) != 0 {
+		t.Errorf("rejected specs left %d jobs", len(docs))
+	}
+	if runs.Load() != 0 {
+		t.Errorf("rejected specs ran %d times", runs.Load())
+	}
+	if n := s.reg.Health().PanicsRecovered.Value(); n != 0 {
+		t.Errorf("%d panics recovered", n)
+	}
+	if open := s.breakers.Open(); len(open) != 0 {
+		t.Errorf("open breakers %v, want none", open)
+	}
+}
+
+// TestJobSpecsFromConfigDecodeStrictly: the writer's specs (perfbench
+// marshals jobs.SpecFromConfig for every cell of the golden sweep
+// grid) carry only known fields, so strict decoding accepts them.
+func TestJobSpecsFromConfigDecodeStrictly(t *testing.T) {
+	cells, err := sweep.Expand(&sweep.Spec{
+		Entries:  []int{1024, 8192, 65536},
+		Assoc:    []int{1, 4},
+		Policies: []string{"lru", "random"},
+		Skip:     10_000,
+		Measure:  50_000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newJobsServer(t, Config{Run: func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		return nil, &minic.Error{Msg: "not run"}
+	}}, JobsConfig{})
+	for _, c := range cells {
+		body, err := json.Marshal(jobs.SpecFromConfig(c.Workload, c.Config))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _, resp := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", string(body)); code != http.StatusAccepted {
+			t.Fatalf("cell %s: code=%d body=%q, want 202", c.ID(), code, resp)
+		}
 	}
 }

@@ -130,10 +130,10 @@ func (s *Spec) normalize() error {
 		s.Workloads = workloads.Names()
 	}
 
-	if err := intAxis("entries", s.Entries, 1, 1<<20); err != nil {
+	if err := intAxis("entries", s.Entries, 1, core.MaxReuseEntries); err != nil {
 		return err
 	}
-	if err := intAxis("assoc", s.Assoc, 1, 256); err != nil {
+	if err := intAxis("assoc", s.Assoc, 1, core.MaxReuseAssoc); err != nil {
 		return err
 	}
 	if len(s.Policies) == 0 {
