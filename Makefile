@@ -122,13 +122,18 @@ stress:
 # `instrep sweep`, exercising spec expansion, cell execution, and the
 # comparative CSV artifact without any test harness in the way. The
 # grid's eight cells differ only in the reuse buffer, so the smoke also
-# fails unless seven of them replay the first one's census verdicts.
+# fails unless seven of them replay the first one's census verdicts. It
+# runs the grid twice: as is, and with -checkpoint-dir set to a fresh
+# directory, where the cells carry a checkpoint policy and still replay.
 sweepsmoke:
-	@out=$$(go run ./cmd/instrep sweep -entries 64,256 -assoc 1,4 -policy lru,fifo \
-		-bench lzw -skip 1000 -measure 20000 2>&1 > /dev/null) || { echo "$$out"; exit 1; }; \
-	echo "$$out"; \
-	echo "$$out" | grep -qx "instrep: 7 of 8 cells replayed from a sibling's census verdicts" || \
-		{ echo "FAIL: sweepsmoke wants 7 of 8 cells replayed"; exit 1; }
+	@ck=$$(mktemp -d); trap 'rm -rf "$$ck"' EXIT; \
+	for flags in "" "-checkpoint-dir $$ck"; do \
+		out=$$(go run ./cmd/instrep sweep -entries 64,256 -assoc 1,4 -policy lru,fifo \
+			-bench lzw -skip 1000 -measure 20000 $$flags 2>&1 > /dev/null) || { echo "$$out"; exit 1; }; \
+		echo "$$out"; \
+		echo "$$out" | grep -qx "instrep: 7 of 8 cells replayed from a sibling's census verdicts" || \
+			{ echo "FAIL: sweepsmoke wants 7 of 8 cells replayed ($${flags:-no flags})"; exit 1; }; \
+	done
 
 # The benchmark is a nested module (perfbench/go.mod), so `go build
 # ./...` and `go test ./...` at the root skip it: vet and test it on its

@@ -140,14 +140,16 @@ func cmdSweep(ctx context.Context, args []string) error {
 		return runErr
 	}
 	// Cells that differ only in the reuse buffer replay the census
-	// verdicts of the first of them to simulate; checkpointed cells
-	// never do (DESIGN.md §17).
+	// verdicts of the first of them to simulate, checkpointed or not
+	// (DESIGN.md §17). A replay loads no snapshot, so it counts as
+	// neither resumed nor started fresh.
+	cellsReplayed := int64(replayed.Value() - replayedBefore)
 	fmt.Fprintf(os.Stderr, "instrep: %d of %d cells replayed from a sibling's census verdicts\n",
-		replayed.Value()-replayedBefore, len(cells))
+		cellsReplayed, len(cells))
 	if *resume {
 		resumed := cellsResumed.Load()
 		fmt.Fprintf(os.Stderr, "instrep: %d cells resumed from checkpoints, %d started fresh\n",
-			resumed, int64(len(cells))-resumed)
+			resumed, int64(len(cells))-resumed-cellsReplayed)
 	}
 	if runErr != nil {
 		// Fail-soft: the surviving cells still render below (failed

@@ -157,6 +157,24 @@ func TestSweepReportsReplayedCells(t *testing.T) {
 			t.Errorf("stderr = %q, want %q", stderr, want)
 		}
 	}
+
+	// Checkpointed cells replay too, and a replayed cell counts as
+	// neither resumed nor started fresh.
+	stderr, err := capture(t, &os.Stderr, func() error {
+		return cmdSweep(context.Background(), []string{
+			"-entries", "64,256", "-assoc", "1,4", "-policy", "lru,fifo",
+			"-bench", "lzw", "-skip", "1000", "-measure", "20000",
+			"-checkpoint-dir", t.TempDir(), "-resume", "-csv", "",
+		})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "instrep: 7 of 8 cells replayed from a sibling's census verdicts\n" +
+		"instrep: 0 cells resumed from checkpoints, 1 started fresh\n"
+	if string(stderr) != want {
+		t.Errorf("checkpointed sweep: stderr = %q, want %q", stderr, want)
+	}
 }
 
 func TestSweepFlagErrors(t *testing.T) {
@@ -248,7 +266,8 @@ func TestSweepResumeReportsRestoredCells(t *testing.T) {
 	if !strings.Contains(string(stderr), "1 cells resumed from checkpoints, 0 started fresh") {
 		t.Errorf("resume log line missing:\n%s", stderr)
 	}
-	// A checkpointed cell neither leads nor replays.
+	// A lone cell has no sibling: it leads, and a resumed leader
+	// publishes nothing.
 	if !strings.Contains(string(stderr), "instrep: 0 of 1 cells replayed from a sibling's census verdicts") {
 		t.Errorf("replay log line missing:\n%s", stderr)
 	}

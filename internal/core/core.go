@@ -871,7 +871,10 @@ func (p *Pipeline) describe(rm *obs.RunMetrics) {
 // group first (replay.go): the group's first run leads and records its
 // census verdicts, and a later run waits for the leader and, when the
 // leader published, replays those verdicts through its own reuse
-// buffer in a "replay" phase instead of a "measure" phase. A replay
+// buffer in a "replay" phase instead of a "measure" phase. A leader
+// that resumed from a snapshot lacks the verdicts from before it and
+// publishes none. A replay never loads or writes a snapshot; when it
+// completes it removes any snapshot under its policy's key. A replay
 // whose measured count differs from the verdicts it was given returns
 // an error and no report.
 func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg Config) (rep *Report, err error) {
@@ -888,7 +891,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 	lead, rec := joinGroup(ctx, im, input, name, cfg)
 	replaying := rec != nil
 	if lead != nil {
-		defer close(lead.done)
+		defer lead.settle()
 	}
 	defer ClaimCPU()()
 	root := cfg.Span
@@ -928,7 +931,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		w, phase = newReplay(m, cfg, rec), "replay"
 	} else {
 		m, p, ck, resume = startPipeline(im, input, name, cfg, root)
-		if lead != nil {
+		if lead != nil && resume == nil {
 			rec = &verdicts{}
 			p.stages = append(p.stages, stage{name: "verdicts", run: rec.record, helper: onRun})
 		}
@@ -1042,9 +1045,10 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 				return finish(merr), fmt.Errorf("core: %s: %w", phase, merr)
 			}
 		}
-		if ck != nil {
-			// A completed run can't be "resumed": drop its snapshot.
-			ck.policy.Store.Remove(ck.policy.Key)
+		if cp := cfg.Checkpoint; cp.enabled() {
+			// A completed run can't be "resumed": drop its snapshot, or
+			// the one an earlier full attempt left under a replay's key.
+			cp.Store.Remove(cp.Key)
 		}
 		if replaying && measured != rec.n {
 			measure.End()
@@ -1057,7 +1061,7 @@ func Run(ctx context.Context, im *program.Image, input []byte, name string, cfg 
 		health.PanicsRecovered.Inc()
 		return safeFinish(finish, perr), perr
 	}
-	if lead != nil && err == nil {
+	if lead != nil && rec != nil && err == nil {
 		lead.publish(rec, rep, p.Rep.RepeatedInstructions())
 	}
 	return rep, err

@@ -3,17 +3,21 @@ package core
 // Verdict replay: runs whose configs differ only in the reuse buffer
 // see the same instruction stream and get the same census verdicts, so
 // only the first of them needs the census and the other six observers.
-// A ReplayGroups registry, installed in the context by the sweep engine,
-// groups such runs; the first to reach Run leads, runs the full pipeline
-// and records one verdict bit per measured instruction, and every later
-// member runs the simulator again with only its own reuse buffer
-// attached, fed those verdicts, and copies every other statistic from
-// the leader's report. See DESIGN.md §17.
+// A ReplayGroups registry in the context groups such runs: the sweep
+// engine installs one per Execute, and the jobs manager one for its
+// lifetime. The first run of a group to reach Run leads, runs the full
+// pipeline and records one verdict bit per measured instruction, and
+// every later member runs the simulator again with only its own reuse
+// buffer attached, fed those verdicts, and copies every other statistic
+// from the leader's report. See DESIGN.md §17.
 
 import (
+	"container/list"
 	"context"
+	"encoding/json"
 	"math/bits"
 	"sync"
+	"unsafe"
 
 	"repro/internal/cpu"
 	"repro/internal/obs"
@@ -21,19 +25,30 @@ import (
 	"repro/internal/reuse"
 )
 
-// ReplayGroups is the registry of one batch of runs whose members may
-// replay each other's census verdicts. It holds every published
-// leader's verdict bitmap and report until it is dropped, so it should
-// live exactly as long as the batch (the sweep engine makes one per
-// Execute). Safe for concurrent use.
+// replayGroupsBytes bounds what one registry's published groups hold.
+// A group holds its verdict bitmap (6.25 KB at a 50k-instruction window,
+// 625 KB at the CLI's 5M) and its leader's report, so this keeps about
+// fifty groups at the CLI's window and thousands at the golden grid's.
+const replayGroupsBytes = 32 << 20
+
+// ReplayGroups is a registry of runs that may replay each other's census
+// verdicts. It keeps the groups whose leaders published within
+// replayGroupsBytes, evicting the one used least recently past that, so
+// it may live as long as the process that serves the runs. A group whose
+// leader is still running is never evicted, and one whose leader
+// published nothing leaves the registry when that leader returns, so the
+// group's next run leads. Safe for concurrent use.
 type ReplayGroups struct {
 	mu     sync.Mutex
 	groups map[groupKey]*group
+	lru    list.List // published groups, most recently used first
+	bytes  int64     // what the published groups hold
+	max    int64     // the bound on bytes
 }
 
 // NewReplayGroups builds an empty registry.
 func NewReplayGroups() *ReplayGroups {
-	return &ReplayGroups{groups: make(map[groupKey]*group)}
+	return &ReplayGroups{groups: make(map[groupKey]*group), max: replayGroupsBytes}
 }
 
 type replayGroupsKey struct{}
@@ -63,8 +78,12 @@ func groupKeyOf(im *program.Image, input []byte, name string, cfg Config) groupK
 // group is one group's rendezvous: done closes when its leader's Run
 // returns, and rec is set before that only when the leader published.
 type group struct {
+	gs   *ReplayGroups
+	key  groupKey
 	done chan struct{}
 	rec  *verdicts
+	el   *list.Element // the group's place in gs.lru, once published
+	size int64         // what the published group holds
 }
 
 // verdicts is what a complete leader publishes: its census verdicts,
@@ -114,19 +133,20 @@ func (v *verdicts) repeatedBefore(n uint64) uint64 {
 }
 
 // replayable reports whether a run may lead or replay. A fault plan
-// changes what the run observes, a run without a reuse buffer has
-// nothing to replay, and a checkpointed run must resume as the same
-// full pipeline it snapshotted (DESIGN.md §17).
+// changes what the run observes, and a run without a reuse buffer has
+// nothing to replay. A checkpoint policy does not matter: a leader
+// snapshots as any full run does, and a replay never loads or writes a
+// snapshot (DESIGN.md §17).
 func replayable(cfg Config) bool {
-	return cfg.Faults == nil && !cfg.DisableReuse && cfg.Checkpoint == nil
+	return cfg.Faults == nil && !cfg.DisableReuse
 }
 
 // joinGroup places a run in its group, when the context carries a
 // registry and the config is eligible. The first run of a group leads:
-// it gets the group back, to publish into. Every later run waits for
-// the leader, or for ctx to end, and gets the leader's verdicts, or nil
-// when the leader published none or the wait was canceled; a nil
-// record means a full run.
+// it gets the group back, to publish into and settle. Every later run
+// waits for the leader, or for ctx to end, and gets the leader's
+// verdicts, or nil when the leader published none or the wait was
+// canceled; a nil record means a full run.
 func joinGroup(ctx context.Context, im *program.Image, input []byte, name string, cfg Config) (lead *group, rec *verdicts) {
 	gs, _ := ctx.Value(replayGroupsKey{}).(*ReplayGroups)
 	if gs == nil || !replayable(cfg) {
@@ -136,8 +156,10 @@ func joinGroup(ctx context.Context, im *program.Image, input []byte, name string
 	gs.mu.Lock()
 	g, ok := gs.groups[k]
 	if !ok {
-		g = &group{done: make(chan struct{})}
+		g = &group{gs: gs, key: k, done: make(chan struct{})}
 		gs.groups[k] = g
+	} else if g.el != nil {
+		gs.lru.MoveToFront(g.el)
 	}
 	gs.mu.Unlock()
 	if !ok {
@@ -158,6 +180,44 @@ func (g *group) publish(rec *verdicts, rep *Report, repeated uint64) {
 	rec.repeated = repeated
 	rec.rep = CanonicalReport(rep)
 	g.rec = rec
+}
+
+// settle ends the leader's run. A published group joins the registry's
+// LRU list and counts its bytes, and the published groups used least
+// recently are evicted past the bound, this one too if it alone exceeds
+// it. A group with nothing published leaves the registry. Either way
+// the runs waiting on the group wake: they hold it, so they still get
+// an evicted group's verdicts.
+func (g *group) settle() {
+	if g.rec != nil {
+		g.size = g.rec.size() // encodes the report: outside the lock
+	}
+	gs := g.gs
+	gs.mu.Lock()
+	if g.rec == nil {
+		delete(gs.groups, g.key)
+	} else {
+		g.el = gs.lru.PushFront(g)
+		gs.bytes += g.size
+		for gs.bytes > gs.max {
+			old := gs.lru.Remove(gs.lru.Back()).(*group)
+			delete(gs.groups, old.key)
+			gs.bytes -= old.size
+		}
+	}
+	gs.mu.Unlock()
+	close(g.done)
+}
+
+// size is what a published record holds: its bitmap, and its report
+// counted at the length of its JSON encoding (or at the struct's size,
+// for a report that does not encode).
+func (v *verdicts) size() int64 {
+	n := int64(unsafe.Sizeof(*v.rep))
+	if data, err := json.Marshal(v.rep); err == nil {
+		n = int64(len(data))
+	}
+	return n + 8*int64(len(v.bits))
 }
 
 // replay observes a replaying run's measure window: the run's own reuse

@@ -2,12 +2,15 @@ package core
 
 import (
 	"context"
+	"errors"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
 	"repro/internal/minic"
+	"repro/internal/obs"
 	"repro/internal/program"
 )
 
@@ -74,6 +77,147 @@ func TestReplayRejectsForgedVerdicts(t *testing.T) {
 			t.Errorf("unexpected error: %v", err)
 		}
 	}
+}
+
+// TestReplayGroupsBoundAndRelead holds a registry to about two
+// published groups. Publishing a third evicts the group used least
+// recently, not the one a replay touched since; an evicted group's next
+// run leads again and publishes; and a leader cut short publishes
+// nothing and leaves the registry, so its group's next run leads and
+// the one after it replays.
+func TestReplayGroupsBoundAndRelead(t *testing.T) {
+	im := replayTestImage(t)
+	gs := NewReplayGroups()
+	ctx := WithReplayGroups(context.Background(), gs)
+	cfg := Config{SkipInstructions: 10_000, MeasureInstructions: 100_000}
+	sibling := cfg
+	sibling.ReuseEntries = 64
+	run := func(ctx context.Context, name string, cfg Config) (*Report, error) {
+		t.Helper()
+		r, err := Run(ctx, im, nil, name, cfg)
+		if err != nil && !errors.Is(err, context.Canceled) {
+			t.Fatal(err)
+		}
+		return r, err
+	}
+	path := func(name string, cfg Config) string {
+		t.Helper()
+		r, _ := run(ctx, name, cfg)
+		return r.Metrics.ExecPath
+	}
+	published := func() []string { return publishedGroups(t, gs) }
+
+	path("a", cfg)
+	gs.mu.Lock()
+	gs.max = 2*gs.bytes + gs.bytes/2 // two groups of this size fit, three do not
+	gs.mu.Unlock()
+	path("b", cfg)
+	if got := path("a", sibling); got != obs.ExecReplay {
+		t.Fatalf("a's sibling ran on %q, want a replay", got)
+	}
+	path("c", cfg)
+	if got := published(); !slices.Equal(got, []string{"c", "a"}) {
+		t.Fatalf("published groups %v after a third, want [c a]: b was used least recently", got)
+	}
+	if got := path("b", sibling); got != obs.ExecTranslated {
+		t.Errorf("evicted group's next run: exec_path %q, want a new leader", got)
+	}
+	if got := path("b", cfg); got != obs.ExecReplay {
+		t.Errorf("the new leader's sibling: exec_path %q, want a replay", got)
+	}
+	if got := published(); !slices.Equal(got, []string{"b", "c"}) {
+		t.Errorf("published groups %v, want [b c]", got)
+	}
+
+	cut, cancel := context.WithCancel(ctx)
+	defer cancel()
+	cutCfg := cfg
+	cutCfg.Progress = func(p Progress) { cancel() } // at the end of the skip window
+	if r, err := run(cut, "d", cutCfg); !errors.Is(err, context.Canceled) || !r.Truncated {
+		t.Fatalf("cut-short leader: err %v", err)
+	}
+	if got := published(); !slices.Equal(got, []string{"b", "c"}) {
+		t.Errorf("published groups %v after a failed leader, want [b c]", got)
+	}
+	if got := path("d", sibling); got != obs.ExecTranslated {
+		t.Errorf("after a failed leader: exec_path %q, want a new leader", got)
+	}
+	if got := path("d", cfg); got != obs.ExecReplay {
+		t.Errorf("the new leader's sibling: exec_path %q, want a replay", got)
+	}
+}
+
+// TestReplayGroupsConcurrentRuns runs three groups' members at once
+// under a bound that holds one group: every run still matches a
+// standalone run of its config, and the registry's byte count matches
+// the groups it keeps. Run it under -race.
+func TestReplayGroupsConcurrentRuns(t *testing.T) {
+	im := replayTestImage(t)
+	gs := NewReplayGroups()
+	ctx := WithReplayGroups(context.Background(), gs)
+	base := Config{SkipInstructions: 1_000, MeasureInstructions: 20_000}
+	if _, err := Run(ctx, im, nil, "probe", base); err != nil {
+		t.Fatal(err)
+	}
+	gs.mu.Lock()
+	gs.max = gs.bytes + gs.bytes/2
+	gs.mu.Unlock()
+
+	var wg sync.WaitGroup
+	for _, name := range []string{"a", "b", "c"} {
+		for _, entries := range []int{64, 256, 1024, 4096} {
+			cfg := base
+			cfg.ReuseEntries = entries
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got, err := Run(ctx, im, nil, name, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := Run(context.Background(), im, nil, name, cfg)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				g, _ := CanonicalJSON(got)
+				w, _ := CanonicalJSON(want)
+				if string(g) != string(w) {
+					t.Errorf("%s/%d: report differs from a standalone run", name, entries)
+				}
+			}()
+		}
+	}
+	wg.Wait()
+	if names := publishedGroups(t, gs); len(names) != 1 || gs.bytes > gs.max {
+		t.Errorf("registry keeps %v in %d bytes, bound %d: want one group", names, gs.bytes, gs.max)
+	}
+}
+
+// publishedGroups lists the names of gs's published groups, most
+// recently used first, and checks the registry's accounting against its
+// LRU list: the byte count is the groups' sum, every group in the map is
+// on the list, and each counts at least its bitmap.
+func publishedGroups(t *testing.T, gs *ReplayGroups) []string {
+	t.Helper()
+	gs.mu.Lock()
+	defer gs.mu.Unlock()
+	var names []string
+	var bytes int64
+	for el := gs.lru.Front(); el != nil; el = el.Next() {
+		g := el.Value.(*group)
+		names = append(names, g.key.name)
+		bytes += g.size
+		if g.size < 8*int64(len(g.rec.bits)) {
+			t.Errorf("group %s counts %d bytes, less than its bitmap", g.key.name, g.size)
+		}
+	}
+	if bytes != gs.bytes || len(names) != len(gs.groups) {
+		t.Errorf("registry counts %d bytes and %d groups, its LRU list %d and %d",
+			gs.bytes, len(gs.groups), bytes, len(names))
+	}
+	return names
 }
 
 // TestInvalidConfigJoinsNoGroup: a cell whose reuse geometry Validate

@@ -3,9 +3,10 @@ package core_test
 // Tests for verdict replay (replay.go): under a ReplayGroups registry,
 // runs that differ only in the reuse buffer replay the first run's
 // census verdicts and stay byte-identical to standalone runs; the
-// replay's metrics say so; ineligible runs neither lead nor replay; and
-// a run waiting for its leader holds no CPU claim and gives the wait up
-// with its context.
+// replay's metrics say so; ineligible runs neither lead nor replay;
+// checkpointed runs lead and replay, a resumed leader publishes nothing
+// and a replay loads and writes no snapshot; and a run waiting for its
+// leader holds no CPU claim and gives the wait up with its context.
 
 import (
 	"bytes"
@@ -13,6 +14,7 @@ import (
 	"errors"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -144,10 +146,10 @@ func TestReplayCutShort(t *testing.T) {
 	}
 }
 
-// TestReplayEligibility: a run with a fault plan, a checkpoint policy
-// or no reuse buffer neither leads nor replays, and a run that differs
-// from the leader in more than the reuse buffer leads a group of its
-// own.
+// TestReplayEligibility: a run with a fault plan or no reuse buffer
+// neither leads nor replays, a run with a checkpoint policy leads and
+// replays like any other, and a run that differs from the leader in
+// more than the reuse buffer leads a group of its own.
 func TestReplayEligibility(t *testing.T) {
 	im := checkpointTestImage(t)
 	store, err := checkpoint.Open(t.TempDir())
@@ -158,7 +160,7 @@ func TestReplayEligibility(t *testing.T) {
 	faulted := base
 	faulted.Faults = faultinject.NewPlan(faultinject.Fault{Kind: faultinject.SimFault, Workload: "elsewhere", At: 1})
 	checkpointed := base
-	checkpointed.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "replay-eligibility"}
+	checkpointed.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "e1191b1e"}
 	noReuse := base
 	noReuse.DisableReuse = true
 
@@ -171,7 +173,7 @@ func TestReplayEligibility(t *testing.T) {
 		return r.Metrics.ExecPath
 	}
 	for what, cfg := range map[string]core.Config{
-		"fault plan": faulted, "checkpoint policy": checkpointed, "no reuse buffer": noReuse,
+		"fault plan": faulted, "no reuse buffer": noReuse,
 	} {
 		ctx := replayCtx()
 		if got := path(ctx, "replay", nil, cfg); got != obs.ExecTranslated {
@@ -189,6 +191,17 @@ func TestReplayEligibility(t *testing.T) {
 	}
 
 	ctx := replayCtx()
+	if got := path(ctx, "replay", nil, checkpointed); got != obs.ExecTranslated {
+		t.Errorf("checkpoint policy, first in its group: exec_path %q, want a leader", got)
+	}
+	if got := path(ctx, "replay", nil, withReuse(checkpointed, 64, 1, reuse.FIFO)); got != obs.ExecReplay {
+		t.Errorf("checkpoint policy, after a published leader: exec_path %q, want a replay", got)
+	}
+	if got := path(ctx, "replay", nil, withReuse(base, 256, 1, reuse.FIFO)); got != obs.ExecReplay {
+		t.Errorf("a sibling of a checkpointed leader: exec_path %q, want a replay", got)
+	}
+
+	ctx = replayCtx()
 	path(ctx, "replay", nil, base)
 	otherWindow, otherCap := base, base
 	otherWindow.SkipInstructions++
@@ -285,5 +298,148 @@ func TestReplayWaitsForLeader(t *testing.T) {
 	}
 	if !bytes.Equal(canonical(t, w.rep), canonical(t, want)) {
 		t.Error("waiting sibling's replay differs from a standalone run")
+	}
+}
+
+// checkpointedReplayConfig has a measure window longer than one run
+// chunk, so a count-paced policy can snapshot mid-window.
+func checkpointedReplayConfig() core.Config {
+	return core.Config{SkipInstructions: 20_000, MeasureInstructions: 300_000}
+}
+
+// standalone is a run of cfg under no registry and no policy.
+func standalone(t *testing.T, cfg core.Config) []byte {
+	t.Helper()
+	cfg.Checkpoint = nil
+	r, err := core.Run(context.Background(), checkpointTestImage(t), nil, "replay", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return canonical(t, r)
+}
+
+// TestResumedLeaderPublishesNothing cuts a checkpointed leader short
+// after its first measure-phase snapshot. Its resumed run leads the
+// group again, since the cut run published nothing, and matches a
+// standalone run; it lacks the verdicts from before the cut, so it
+// publishes nothing either. The next sibling then leads with a full
+// run, and the one after it replays that sibling's verdicts; both match
+// standalone runs.
+func TestResumedLeaderPublishesNothing(t *testing.T) {
+	im := checkpointTestImage(t)
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := replayCtx()
+	cfg := checkpointedReplayConfig()
+
+	cut, cancel := context.WithCancel(ctx)
+	defer cancel()
+	leader := cfg
+	leader.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "1eade4", Every: 1,
+		Notify: func(ev core.CheckpointEvent) {
+			if ev.Phase == "measure" {
+				cancel()
+			}
+		}}
+	if r, err := core.Run(cut, im, nil, "replay", leader); !errors.Is(err, context.Canceled) || r == nil || !r.Truncated {
+		t.Fatalf("cut-short leader: err %v, report %v", err, r != nil)
+	}
+	if len(store.Keys()) != 1 {
+		t.Fatalf("the cut-short leader left %d snapshots, want 1", len(store.Keys()))
+	}
+
+	var resumes atomic.Int64
+	leader.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "1eade4", Resume: true,
+		Notify: func(ev core.CheckpointEvent) {
+			if ev.Resumed {
+				resumes.Add(1)
+			}
+		}}
+	r, err := core.Run(ctx, im, nil, "replay", leader)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumes.Load() != 1 || r.Metrics.ExecPath != obs.ExecTranslated {
+		t.Fatalf("resumed leader: %d resumes, exec_path %q", resumes.Load(), r.Metrics.ExecPath)
+	}
+	if !bytes.Equal(canonical(t, r), standalone(t, cfg)) {
+		t.Error("the resumed leader's report differs from a standalone run")
+	}
+
+	for i, want := range []string{obs.ExecTranslated, obs.ExecReplay} {
+		sibling := withReuse(cfg, 64<<i, 4>>(2*i), reuse.FIFO)
+		r, err := core.Run(ctx, im, nil, "replay", sibling)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Metrics.ExecPath != want {
+			t.Errorf("sibling %d: exec_path %q, want %q", i, r.Metrics.ExecPath, want)
+		}
+		if !bytes.Equal(canonical(t, r), standalone(t, sibling)) {
+			t.Errorf("sibling %d's report differs from a standalone run", i)
+		}
+	}
+}
+
+// TestReplayUnderCheckpointPolicy: a replay under a count-paced policy
+// that would snapshot at every chunk boundary, and asks to resume,
+// neither resumes nor writes, and removes the snapshot an earlier full
+// attempt of its config left under its key.
+func TestReplayUnderCheckpointPolicy(t *testing.T) {
+	im := checkpointTestImage(t)
+	store, err := checkpoint.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := replayCtx()
+	cfg := checkpointedReplayConfig()
+	leader := cfg
+	leader.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "1eade4", Every: 1}
+	if _, err := core.Run(ctx, im, nil, "replay", leader); err != nil {
+		t.Fatal(err)
+	}
+	if keys := store.Keys(); len(keys) != 0 {
+		t.Fatalf("the completed leader left snapshots %v", keys)
+	}
+
+	// The earlier attempt: a full run of the sibling's config, under no
+	// registry, cut short after its first measure-phase snapshot.
+	sibling := withReuse(cfg, 256, 1, reuse.Random)
+	cut, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	attempt := sibling
+	attempt.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "5b1b", Every: 1,
+		Notify: func(ev core.CheckpointEvent) {
+			if ev.Phase == "measure" {
+				cancel()
+			}
+		}}
+	if _, err := core.Run(cut, im, nil, "replay", attempt); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cut-short attempt: err %v", err)
+	}
+	if keys := store.Keys(); len(keys) != 1 {
+		t.Fatalf("the cut-short attempt left %d snapshots, want 1", len(keys))
+	}
+
+	var events []core.CheckpointEvent
+	sibling.Checkpoint = &core.CheckpointPolicy{Store: store, Key: "5b1b", Every: 1, Resume: true,
+		Notify: func(ev core.CheckpointEvent) { events = append(events, ev) }}
+	r, err := core.Run(ctx, im, nil, "replay", sibling)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Metrics.ExecPath != obs.ExecReplay {
+		t.Fatalf("checkpointed sibling ran on %q, want a replay", r.Metrics.ExecPath)
+	}
+	if len(events) != 0 {
+		t.Errorf("the replay resumed or wrote snapshots: %+v", events)
+	}
+	if keys := store.Keys(); len(keys) != 0 {
+		t.Errorf("snapshots %v survive the replay, want none", keys)
+	}
+	if !bytes.Equal(canonical(t, r), standalone(t, sibling)) {
+		t.Error("the checkpointed replay differs from a standalone run")
 	}
 }

@@ -186,6 +186,9 @@ type Doc struct {
 	UpdatedMS   int64           `json:"updated_ms"`
 	NextRetryMS int64           `json:"next_retry_ms,omitempty"` // backoff deadline, unix ms
 	Checkpoint  *CheckpointInfo `json:"checkpoint,omitempty"`
+	// Replayed is set when the job's last attempt, in this process,
+	// replayed a sibling job's census verdicts (DESIGN.md §17).
+	Replayed bool `json:"replayed,omitempty"`
 }
 
 // RetryAfter suggests a client poll interval for the doc's state: the

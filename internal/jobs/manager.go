@@ -92,6 +92,7 @@ type Stats struct {
 	Failed      obs.Counter // jobs failed permanently (classification or retries exhausted)
 	Retried     obs.Counter // transient failures re-enqueued with backoff
 	Resumed     obs.Counter // attempts that restored a checkpoint snapshot
+	Replayed    obs.Counter // jobs done by replaying a sibling's census verdicts
 	Canceled    obs.Counter // jobs canceled via the API
 	Interrupted obs.Counter // jobs journaled as interrupted during drain
 	Recovered   obs.Counter // jobs re-enqueued by journal replay at startup
@@ -110,6 +111,9 @@ type job struct {
 	// Newest checkpoint snapshot seen this process, for the status doc.
 	ckptRetired uint64
 	ckptAtMS    int64
+	// replayed marks a last attempt that replayed a sibling's census
+	// verdicts (this process only; it is not journaled).
+	replayed bool
 }
 
 // Manager is the crash-durable job tier: a journal-backed queue of
@@ -125,6 +129,11 @@ type Manager struct {
 	wake  chan struct{}
 	rng   *rand.Rand // jitter; guarded by mu
 	Stats Stats
+
+	// replay groups every attempt and every ReportJSON recompute, so a
+	// job that differs from an earlier one only in the reuse buffer
+	// replays that job's census verdicts (core.ReplayGroups).
+	replay *core.ReplayGroups
 
 	mu       sync.Mutex
 	journal  *Journal
@@ -168,6 +177,7 @@ func Open(opts Options) (*Manager, error) {
 		stop:    stop,
 		wake:    make(chan struct{}, 1),
 		rng:     rand.New(rand.NewSource(opts.now().UnixNano())),
+		replay:  core.NewReplayGroups(),
 		journal: journal,
 		jobs:    make(map[string]*job, len(live)),
 	}
@@ -374,7 +384,7 @@ func (m *Manager) ReportJSON(ctx context.Context, id string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return m.opts.Runner.ReportJSON(ctx, spec.Workload, cfg)
+	return m.opts.Runner.ReportJSON(core.WithReplayGroups(ctx, m.replay), spec.Workload, cfg)
 }
 
 // StatValues snapshots every manager counter plus the live queue
@@ -404,6 +414,7 @@ func (m *Manager) StatValues() []obs.NamedValue {
 		{Name: "journal_torn_dropped", Value: int64(m.journal.Stats.TornDropped.Value())},
 		{Name: "queued", Value: queued},
 		{Name: "recovered", Value: int64(m.Stats.Recovered.Value())},
+		{Name: "replayed", Value: int64(m.Stats.Replayed.Value())},
 		{Name: "resumed", Value: int64(m.Stats.Resumed.Value())},
 		{Name: "retried", Value: int64(m.Stats.Retried.Value())},
 		{Name: "running", Value: running},
@@ -496,7 +507,7 @@ func (m *Manager) runJob(j *job) {
 	rec := j.rec
 	m.mu.Unlock()
 	if alreadyCanceled {
-		m.complete(j, context.Canceled)
+		m.complete(j, context.Canceled, false)
 		return
 	}
 
@@ -505,7 +516,7 @@ func (m *Manager) runJob(j *job) {
 		// Submit rejects such a spec, so only a journal an older build
 		// wrote holds one. It can never run: fail it for good, without
 		// spending the retry budget or reaching the breaker.
-		m.complete(j, &minic.Error{Msg: err.Error()})
+		m.complete(j, &minic.Error{Msg: err.Error()}, false)
 		return
 	}
 	if m.opts.Checkpoints != nil {
@@ -518,12 +529,12 @@ func (m *Manager) runJob(j *job) {
 		}
 	}
 
-	span, ctx := obs.StartSpanCtx(ctx, "job")
+	span, ctx := obs.StartSpanCtx(core.WithReplayGroups(ctx, m.replay), "job")
 	span.SetAttr("id", short(rec.ID))
 	span.SetAttr("attempt", rec.Retries+1)
-	_, err = m.opts.Runner.RunWorkload(ctx, rec.Spec.Workload, cfg)
+	rep, err := m.opts.Runner.RunWorkload(ctx, rec.Spec.Workload, cfg)
 	span.End()
-	m.complete(j, err)
+	m.complete(j, err, err == nil && rep != nil && rep.Metrics != nil && rep.Metrics.ExecPath == obs.ExecReplay)
 }
 
 // onCheckpoint tracks resume/snapshot events for the status doc and
@@ -545,14 +556,16 @@ func (m *Manager) onCheckpoint(j *job, ev core.CheckpointEvent) {
 }
 
 // complete classifies an attempt's outcome and journals the
-// transition. Order matters: success first, then the explicit
+// transition; replayed says the attempt replayed a sibling's census
+// verdicts. Order matters: success first, then the explicit
 // cancel/drain interruptions (the run unwinds with context.Canceled
 // for both, so intent disambiguates), then permanent failures, then
 // the bounded-retry budget.
-func (m *Manager) complete(j *job, err error) {
+func (m *Manager) complete(j *job, err error, replayed bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	j.cancelAttempt = nil
+	j.replayed = replayed
 	now := m.nowMS()
 	j.rec.UpdatedMS = now
 	switch {
@@ -560,6 +573,9 @@ func (m *Manager) complete(j *job, err error) {
 		j.rec.State = StateDone
 		j.rec.Error = ""
 		m.Stats.Done.Inc()
+		if replayed {
+			m.Stats.Replayed.Inc()
+		}
 		m.opts.Log.Info("job done", "id", short(j.rec.ID),
 			"retries", j.rec.Retries, "resumes", j.rec.Resumes)
 	case j.canceled:
@@ -649,6 +665,7 @@ func (m *Manager) docLocked(j *job) Doc {
 		Error:       j.rec.Error,
 		SubmittedMS: j.rec.SubmittedMS,
 		UpdatedMS:   j.rec.UpdatedMS,
+		Replayed:    j.replayed,
 	}
 	if j.rec.State == StateQueued && j.nextRunMS > 0 {
 		d.NextRetryMS = j.nextRunMS

@@ -35,8 +35,8 @@ type RunMetrics struct {
 	// ExecPath names the simulator loop the run executed on:
 	// ExecTranslated (the block translation cache) or ExecInterpreted
 	// (the Step interpreter, chosen by Config.DisableTranslation) — or
-	// ExecReplay, a sweep cell that ran only its own reuse buffer, fed
-	// a sibling cell's census verdicts, in a "replay" phase.
+	// ExecReplay, a sweep cell or job that ran only its own reuse
+	// buffer, fed a sibling's census verdicts, in a "replay" phase.
 	ExecPath string `json:"exec_path,omitempty"`
 	// BlocksTranslated is how many superblocks the translation cache
 	// built during the run (0 on the interpreted path).

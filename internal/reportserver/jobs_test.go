@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
@@ -429,6 +430,50 @@ func TestJobsObservability(t *testing.T) {
 	defer pts.Close()
 	if code, _, _ := doJSON(t, http.MethodPost, pts.URL+"/v1/jobs", `{"workload":"lzw"}`); code != http.StatusNotFound {
 		t.Errorf("jobless server answered /v1/jobs with %d", code)
+	}
+}
+
+// TestSiblingJobReplaysOverHTTP runs two jobs that differ only in the
+// reuse buffer: the second replays the first's census verdicts, its
+// status document says "replayed": true (the first's omits the field),
+// /metrics counts job_replayed, and its report matches a standalone run.
+func TestSiblingJobReplaysOverHTTP(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulates in -short mode")
+	}
+	_, ts := newJobsServer(t, Config{}, JobsConfig{})
+	for i, entries := range []int{1024, 64} {
+		spec := fmt.Sprintf(`{"workload":"lzw","skip":10000,"measure":50000,"reuse_entries":%d}`, entries)
+		code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: code=%d body=%q", code, body)
+		}
+		var doc jobs.Doc
+		json.Unmarshal(body, &doc)
+		pollJob(t, ts.URL, doc.ID, jobs.StateDone)
+		_, _, raw := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc.ID, "")
+		if got := bytes.Contains(raw, []byte(`"replayed": true`)); got != (i == 1) {
+			t.Errorf("job %d status document:\n%s", i, raw)
+		}
+		if i == 0 && bytes.Contains(raw, []byte(`"replayed"`)) {
+			t.Errorf("the leader's status document names the field:\n%s", raw)
+		}
+		code, _, got := doJSON(t, http.MethodGet, ts.URL+"/v1/jobs/"+doc.ID+"/report", "")
+		if code != http.StatusOK {
+			t.Fatalf("report: code=%d", code)
+		}
+		rep, err := repro.RunWorkload(context.Background(), "lzw",
+			repro.Config{SkipInstructions: 10_000, MeasureInstructions: 50_000, ReuseEntries: entries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, _ := repro.CanonicalReportJSON(rep); !bytes.Equal(got, want) {
+			t.Errorf("job %d's report differs from a standalone run", i)
+		}
+	}
+	_, body := get(t, ts.URL+"/metrics?format=prometheus")
+	if !strings.Contains(string(body), "instrep_job_replayed 1") {
+		t.Errorf("/metrics does not count one replayed job:\n%s", body)
 	}
 }
 

@@ -3,10 +3,26 @@ package resultcache
 // The disk tier stores one file per key, <dir>/<fingerprint>.json,
 // holding exactly the canonical report JSON. Writes go through a temp
 // file in the same directory followed by an atomic rename, so readers
-// never observe a half-written entry; reads validate that the bytes
-// decode and re-encode to themselves (the canonical round-trip
-// property) and drop anything that does not — a corrupt or truncated
-// entry costs one recompute, never a wrong answer.
+// never observe a half-written entry.
+//
+// A read checks the entry before serving it, in one of two ways. The
+// index records the SHA-256 of every entry this process wrote, and of
+// every entry it checked with the canonical round trip (the bytes
+// decode and re-encode to themselves): at the startup scrub, and on the
+// first read of an entry another process wrote into a shared directory.
+// A read of an entry with a recorded digest hashes the file and
+// compares, with no decode; a read of any other entry takes the round
+// trip and records the digest. An entry that fails its check is dropped
+// and recomputed. Reports are deterministic per key, so a legitimate
+// rewrite never changes an entry's digest.
+//
+// So truncation, trailing garbage, a schema change, and any edit made
+// after this process wrote or checked the entry (one changed digit
+// included) cost one recompute. What the round trip alone cannot catch
+// is an edit that leaves valid canonical JSON, such as a changed digit,
+// made while no process held the directory: the scrub accepts it and
+// the edited report is served. Storing the digest in the file would
+// close that case; it is a format change this tier has not made.
 //
 // Crash safety is handled at startup: opening a cache scrubs its
 // directory, deleting the orphaned temp files a crash mid-write
@@ -20,6 +36,7 @@ package resultcache
 import (
 	"bytes"
 	"container/list"
+	"crypto/sha256"
 	"os"
 	"path/filepath"
 	"sort"
@@ -47,10 +64,12 @@ type diskIndex struct {
 	bytes int64
 }
 
-// diskEntry is one on-disk entry's index record.
+// diskEntry is one on-disk entry's index record: its size, and the
+// digest of the bytes this process wrote or checked.
 type diskEntry struct {
 	key  string
 	size int64
+	sum  [sha256.Size]byte
 }
 
 // initDisk prepares the disk tier: directory creation, the crash
@@ -72,6 +91,7 @@ func (c *Cache) initDisk() error {
 	type scanned struct {
 		key  string
 		size int64
+		sum  [sha256.Size]byte
 		mod  int64
 	}
 	var valid []scanned
@@ -104,6 +124,7 @@ func (c *Cache) initDisk() error {
 			valid = append(valid, scanned{
 				key:  strings.TrimSuffix(name, ".json"),
 				size: int64(len(data)),
+				sum:  sha256.Sum256(data),
 				mod:  info.ModTime().UnixNano(),
 			})
 		}
@@ -113,7 +134,7 @@ func (c *Cache) initDisk() error {
 	sort.Slice(valid, func(i, j int) bool { return valid[i].mod < valid[j].mod })
 	c.disk.mu.Lock()
 	for _, v := range valid {
-		c.disk.byKey[v.key] = c.disk.lru.PushFront(&diskEntry{key: v.key, size: v.size})
+		c.disk.byKey[v.key] = c.disk.lru.PushFront(&diskEntry{key: v.key, size: v.size, sum: v.sum})
 		c.disk.bytes += v.size
 	}
 	c.evictDiskLocked()
@@ -127,9 +148,11 @@ func (c *Cache) diskPath(key string) string {
 	return filepath.Join(c.dir, key+".json")
 }
 
-// diskGet reads and validates the disk entry for key. Invalid entries
-// are removed so the slot heals on the next store; valid reads touch
-// the LRU index so hot entries survive the byte bound.
+// diskGet reads and checks the disk entry for key: against its
+// recorded digest when the index has one, else with the canonical round
+// trip. Invalid entries are removed so the slot heals on the next
+// store; valid reads record the digest and touch the LRU index, so hot
+// entries survive the byte bound.
 func (c *Cache) diskGet(key string) ([]byte, bool) {
 	if c.dir == "" {
 		return nil, false
@@ -139,14 +162,30 @@ func (c *Cache) diskGet(key string) ([]byte, bool) {
 	if err != nil {
 		return nil, false
 	}
-	if !validCanonical(data) {
+	sum := sha256.Sum256(data)
+	known, indexed := c.diskSum(key)
+	valid := sum == known
+	if !indexed {
+		valid = validCanonical(data)
+	}
+	if !valid {
 		c.Stats.Corrupt.Inc()
 		os.Remove(path)
 		c.diskForget(key)
 		return nil, false
 	}
-	c.diskTouch(key, int64(len(data)))
+	c.diskTouch(key, int64(len(data)), sum)
 	return data, true
+}
+
+// diskSum returns the digest the index records for key.
+func (c *Cache) diskSum(key string) (sum [sha256.Size]byte, ok bool) {
+	c.disk.mu.Lock()
+	defer c.disk.mu.Unlock()
+	if el, ok := c.disk.byKey[key]; ok {
+		return el.Value.(*diskEntry).sum, true
+	}
+	return sum, false
 }
 
 // validCanonical reports whether data is a canonical report
@@ -193,21 +232,22 @@ func (c *Cache) diskPut(key string, data []byte) {
 		c.Stats.DiskErrors.Inc()
 		return
 	}
-	c.diskTouch(key, int64(len(data)))
+	c.diskTouch(key, int64(len(data)), sha256.Sum256(data))
 }
 
-// diskTouch marks key most recently used, inserting or resizing its
-// index record, and enforces the byte bound.
-func (c *Cache) diskTouch(key string, size int64) {
+// diskTouch marks key most recently used, inserting or updating its
+// index record with the entry's size and digest, and enforces the byte
+// bound.
+func (c *Cache) diskTouch(key string, size int64, sum [sha256.Size]byte) {
 	c.disk.mu.Lock()
 	defer c.disk.mu.Unlock()
 	if el, ok := c.disk.byKey[key]; ok {
 		de := el.Value.(*diskEntry)
 		c.disk.bytes += size - de.size
-		de.size = size
+		de.size, de.sum = size, sum
 		c.disk.lru.MoveToFront(el)
 	} else {
-		c.disk.byKey[key] = c.disk.lru.PushFront(&diskEntry{key: key, size: size})
+		c.disk.byKey[key] = c.disk.lru.PushFront(&diskEntry{key: key, size: size, sum: sum})
 		c.disk.bytes += size
 	}
 	c.evictDiskLocked()

@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"repro/internal/core"
 	"repro/internal/reuse"
@@ -97,7 +98,8 @@ func ParseSpec(data []byte) (*Spec, error) {
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("sweep: parsing spec: %w", err)
 	}
-	if dec.More() {
+	// Token, not More: More reports no value ahead of a stray '}' or ']'.
+	if _, err := dec.Token(); err != io.EOF {
 		return nil, fmt.Errorf("sweep: parsing spec: trailing data after spec object")
 	}
 	if err := s.normalize(); err != nil {

@@ -132,6 +132,8 @@ func TestSpecRejections(t *testing.T) {
 		{"negative instances", `{"instances": -1}`, "negative instances"},
 		{"negative variant", `{"input_variant": -2}`, "negative input_variant"},
 		{"trailing data", `{} {}`, "trailing data"},
+		{"trailing brace", `{"entries": [64]}}`, "trailing data"},
+		{"trailing bracket", `{"entries": [64]}]`, "trailing data"},
 		{"not an object", `[1,2]`, "parsing spec"},
 	}
 	for _, c := range cases {

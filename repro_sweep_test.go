@@ -149,9 +149,11 @@ func TestSweepDifferentialAgainstStandalone(t *testing.T) {
 
 // TestSweepLeaderCutShortPublishesNothing gives the first cell to run,
 // which leads its group, an already-expired timeout: that cell fails,
-// its truncated run publishes no census verdicts, and its siblings run
-// the full pipeline and still match standalone runs byte for byte. The
-// other workload's group replays as usual.
+// its truncated run publishes no census verdicts and its group leaves
+// the registry, so the group's next cell leads anew with the full
+// pipeline and the last two replay it. Every sibling still matches a
+// standalone run byte for byte. The other workload's group replays as
+// usual.
 func TestSweepLeaderCutShortPublishesNothing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates in -short mode")
@@ -185,9 +187,10 @@ func TestSweepLeaderCutShortPublishesNothing(t *testing.T) {
 	if c := res.Cells[0]; c.OK() || c.Workload != "lzw" {
 		t.Fatalf("cell 0 (%s) ok=%v, want the failed lzw leader", c.Workload, c.OK())
 	}
-	// Only scrip's three siblings replay; lzw's run in full.
-	if got := reg.Counter("sweep_cells_replayed").Value(); got != 3 {
-		t.Errorf("sweep_cells_replayed = %d, want 3", got)
+	// scrip's three siblings replay, and two of lzw's: the first of
+	// lzw's three to run after the failed leader leads.
+	if got := reg.Counter("sweep_cells_replayed").Value(); got != 5 {
+		t.Errorf("sweep_cells_replayed = %d, want 5", got)
 	}
 	for i, c := range cells[1:] {
 		got := res.Cells[i+1]
