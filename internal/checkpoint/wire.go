@@ -8,10 +8,12 @@
 // no reflection. Canonical means byte-deterministic — encoding the
 // same simulation state twice yields identical bytes, which is what
 // lets tests pin "resumed == uninterrupted" down to the snapshot
-// layer. Self-validating means an "ICKP" magic header, a format
-// version, and a SHA-256 trailer over everything before it; any file
-// that fails any of those checks is treated as absent (counted and
-// deleted), never as state to resume from.
+// layer. Self-validating means filestore's envelope under an "ICKP"
+// magic and FormatVersion, with a SHA-256 trailer over everything
+// before it; any file that fails the check is treated as absent
+// (counted and deleted), never as state to resume from. The directory
+// protocol (temp file and rename, the startup scrub, check-and-drop on
+// read) is filestore's too, shared with the result cache's disk tier.
 package checkpoint
 
 import "encoding/binary"

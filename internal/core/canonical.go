@@ -77,8 +77,7 @@ func CanonicalReport(r *Report) *Report {
 // result cache, the report server, and the golden corpus, so all three
 // byte-compare against the same form. Marshaling is deterministic
 // (struct fields in declaration order, map keys sorted), and a
-// decode/re-encode round trip reproduces the same bytes — the property
-// the disk tier uses to detect corrupt entries.
+// decode/re-encode round trip reproduces the same bytes.
 func CanonicalJSON(r *Report) ([]byte, error) {
 	b, err := json.MarshalIndent(CanonicalReport(r), "", "  ")
 	if err != nil {

@@ -96,6 +96,9 @@ type Stats struct {
 	Canceled    obs.Counter // jobs canceled via the API
 	Interrupted obs.Counter // jobs journaled as interrupted during drain
 	Recovered   obs.Counter // jobs re-enqueued by journal replay at startup
+	// transitions the journal failed to record (a claim, a resume, an
+	// attempt's outcome): they stand in this process only
+	JournalErrors obs.Counter
 }
 
 // job is the in-memory state alongside the journaled Record.
@@ -264,20 +267,23 @@ func (m *Manager) Submit(spec Spec) (Doc, bool, error) {
 			return m.docLocked(j), true, nil
 		}
 		// failed or canceled: resubmit restarts it from scratch
-		// (modulo any checkpoint snapshot, which is a pure bonus).
-		j.rec.State = StateQueued
-		j.rec.Retries = 0
-		j.rec.Resumes = 0
-		j.rec.Error = ""
-		j.rec.Seq = m.seq
-		j.rec.SubmittedMS = now
-		j.rec.UpdatedMS = now
+		// (modulo any checkpoint snapshot, which is a pure bonus). As
+		// in Cancel, nothing changes unless the journal records it.
+		rec := j.rec
+		rec.State = StateQueued
+		rec.Retries = 0
+		rec.Resumes = 0
+		rec.Error = ""
+		rec.Seq = m.seq
+		rec.SubmittedMS = now
+		rec.UpdatedMS = now
+		if err := m.journal.Append(rec); err != nil {
+			return Doc{}, false, err
+		}
+		j.rec = rec
 		j.nextRunMS = 0
 		j.canceled = false
 		m.seq++
-		if err := m.journal.Append(j.rec); err != nil {
-			return Doc{}, false, err
-		}
 		m.Stats.Submitted.Inc()
 		m.opts.Log.Info("job resubmitted", "id", short(id), "workload", spec.Workload)
 		m.signal()
@@ -334,7 +340,9 @@ func (m *Manager) List() []Doc {
 // Cancel stops a job: a queued one is journaled canceled immediately,
 // a running one has its attempt aborted (the worker journals the
 // cancellation when the run unwinds). Terminal jobs return
-// ErrTerminal.
+// ErrTerminal. A cancel the journal fails to record returns the error
+// and changes nothing, so this process and a restart agree that the
+// job was not canceled.
 func (m *Manager) Cancel(id string) (Doc, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -352,9 +360,13 @@ func (m *Manager) Cancel(id string) (Doc, error) {
 		}
 		return m.docLocked(j), nil
 	default: // queued / interrupted
-		j.rec.State = StateCanceled
-		j.rec.UpdatedMS = m.nowMS()
-		m.journal.Append(j.rec)
+		rec := j.rec
+		rec.State = StateCanceled
+		rec.UpdatedMS = m.nowMS()
+		if err := m.journal.Append(rec); err != nil {
+			return m.docLocked(j), err
+		}
+		j.rec = rec
 		m.Stats.Canceled.Inc()
 		m.opts.Log.Info("job canceled", "id", short(id))
 		return m.docLocked(j), nil
@@ -409,6 +421,7 @@ func (m *Manager) StatValues() []obs.NamedValue {
 		{Name: "interrupted", Value: int64(m.Stats.Interrupted.Value())},
 		{Name: "journal_appends", Value: int64(m.journal.Stats.Appends.Value())},
 		{Name: "journal_compactions", Value: int64(m.journal.Stats.Compactions.Value())},
+		{Name: "journal_errors", Value: int64(m.Stats.JournalErrors.Value())},
 		{Name: "journal_replayed", Value: int64(m.journal.Stats.Replayed.Value())},
 		{Name: "journal_tmp_scrubbed", Value: int64(m.journal.Stats.TmpScrubbed.Value())},
 		{Name: "journal_torn_dropped", Value: int64(m.journal.Stats.TornDropped.Value())},
@@ -464,7 +477,7 @@ func (m *Manager) next() *job {
 		if best != nil {
 			best.rec.State = StateRunning
 			best.rec.UpdatedMS = now
-			m.journal.Append(best.rec)
+			m.appendLocked(best.rec)
 			m.mu.Unlock()
 			m.signal() // there may be more eligible jobs for other workers
 			return best
@@ -548,7 +561,7 @@ func (m *Manager) onCheckpoint(j *job, ev core.CheckpointEvent) {
 	if ev.Resumed {
 		j.rec.Resumes++
 		j.rec.UpdatedMS = m.nowMS()
-		m.journal.Append(j.rec)
+		m.appendLocked(j.rec)
 		m.Stats.Resumed.Inc()
 		m.opts.Log.Info("job resumed from checkpoint",
 			"id", short(j.rec.ID), "retired", ev.Retired, "phase", ev.Phase)
@@ -610,8 +623,20 @@ func (m *Manager) complete(j *job, err error, replayed bool) {
 		m.opts.Log.Info("job retry scheduled", "id", short(j.rec.ID),
 			"attempt", j.rec.Retries+1, "backoff_ms", j.nextRunMS-now, "err", err.Error())
 	}
-	m.journal.Append(j.rec)
+	m.appendLocked(j.rec)
 	m.signal()
+}
+
+// appendLocked journals a transition the job has already made in
+// memory, logging and counting a failure: the transition stands in
+// this process, and a restart sees the last recorded state. Caller
+// holds m.mu.
+func (m *Manager) appendLocked(rec Record) {
+	if err := m.journal.Append(rec); err != nil {
+		m.Stats.JournalErrors.Inc()
+		m.opts.Log.Error("job journal append failed", "id", short(rec.ID),
+			"state", string(rec.State), "err", err.Error())
+	}
 }
 
 // permanent reports whether the error can never succeed on retry.

@@ -575,3 +575,60 @@ func TestJournaledInvalidSpecFailsForGood(t *testing.T) {
 		t.Errorf("journaled invalid spec: %d runs, doc %+v; want 0 runs, 0 retries, the config error", runs.Load(), doc)
 	}
 }
+
+// TestJournalErrorsSurface closes the journal of a manager that is
+// opened but not started. A cancel or a resubmission the journal
+// cannot record fails and changes nothing, so this process agrees with
+// what a restart would replay. The other transitions (the claim, a
+// resume, an attempt's outcome) still happen in memory, and each
+// failed append is logged and counted in journal_errors.
+func TestJournalErrorsSurface(t *testing.T) {
+	var buf bytes.Buffer
+	m := openManager(t, t.TempDir(), Options{
+		Log: slog.New(slog.NewTextHandler(&buf, nil)),
+		Runner: fakeRunner(func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+			return &repro.Report{}, nil
+		}),
+	})
+	doc, _, err := m.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.journal.Close()
+	state := func() State {
+		t.Helper()
+		doc, err := m.Status(doc.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.State
+	}
+
+	if _, err := m.Cancel(doc.ID); err == nil {
+		t.Fatal("a cancel the journal did not record succeeded")
+	}
+	if state() != StateQueued || m.Stats.Canceled.Value() != 0 {
+		t.Fatalf("after the failed cancel: state %s, canceled %d; want queued, 0", state(), m.Stats.Canceled.Value())
+	}
+
+	j := m.next()
+	m.onCheckpoint(j, core.CheckpointEvent{Resumed: true, Retired: 1, Phase: "skip"})
+	m.complete(j, &minic.Error{Msg: "permanent"}, false)
+	if state() != StateFailed || j.rec.Resumes != 1 {
+		t.Fatalf("state %s, resumes %d; want failed, 1", state(), j.rec.Resumes)
+	}
+	if _, _, err := m.Submit(testSpec()); err == nil || state() != StateFailed {
+		t.Fatalf("a resubmission the journal did not record: err %v, state %s", err, state())
+	}
+
+	var journalErrors int64 = -1
+	for _, v := range m.StatValues() {
+		if v.Name == "journal_errors" {
+			journalErrors = v.Value
+		}
+	}
+	if journalErrors != 3 || strings.Count(buf.String(), "job journal append failed") != 3 {
+		t.Errorf("journal_errors = %d, logged %d times; want 3 (claim, resume, outcome)\n%s",
+			journalErrors, strings.Count(buf.String(), "job journal append failed"), buf.String())
+	}
+}

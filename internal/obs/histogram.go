@@ -67,13 +67,6 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(d)].Add(1)
 }
 
-// Time runs fn and records how long it took.
-func (h *Histogram) Time(fn func()) {
-	start := time.Now()
-	fn()
-	h.Observe(time.Since(start))
-}
-
 // HistogramBucket is one non-empty bucket of a snapshot: the count of
 // observations at or below LE (LE 0 = the +Inf overflow bucket).
 // Counts are per-bucket, not cumulative; WritePrometheus accumulates

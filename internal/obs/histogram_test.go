@@ -127,7 +127,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("server_requests_report").Add(3)
 	r.Counter("server_errors").Inc()
-	r.Gauge("server_queue_depth").Set(2)
+	r.GaugeFunc("server_queue_depth", func() int64 { return 2 })
 	h := r.Histogram("server_latency_report")
 	h.Observe(50 * time.Microsecond)  // first bucket (le 0.065536)
 	h.Observe(100 * time.Microsecond) // second bucket (le 0.131072)

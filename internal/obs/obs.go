@@ -39,10 +39,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Reset zeroes the counter (test isolation and Registry.Reset; the
-// serving paths never reset).
-func (c *Counter) Reset() { c.v.Store(0) }
-
 // Gauge is a metric that can go up and down. The zero value is ready
 // to use and safe for concurrent updates.
 type Gauge struct {
@@ -64,7 +60,6 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Registry struct {
 	mu         sync.Mutex
 	counters   map[string]*Counter
-	gauges     map[string]*Gauge
 	gaugeFuncs map[string]func() int64
 	histograms map[string]*Histogram
 	health     HealthCounters
@@ -72,29 +67,11 @@ type Registry struct {
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{}
-	r.initLocked()
-	return r
-}
-
-// initLocked (re)creates the metric maps. Caller holds r.mu except
-// during construction.
-func (r *Registry) initLocked() {
-	r.counters = make(map[string]*Counter)
-	r.gauges = make(map[string]*Gauge)
-	r.gaugeFuncs = make(map[string]func() int64)
-	r.histograms = make(map[string]*Histogram)
-}
-
-// Reset drops every metric and zeroes the health counters, returning
-// the registry to its freshly constructed state. Tests use it to keep
-// successive server instances (and the process-wide Default registry)
-// from leaking counts into each other.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	r.initLocked()
-	r.mu.Unlock()
-	r.health.Reset()
+	return &Registry{
+		counters:   make(map[string]*Counter),
+		gaugeFuncs: make(map[string]func() int64),
+		histograms: make(map[string]*Histogram),
+	}
 }
 
 // Counter returns the named counter, creating it on first use.
@@ -107,18 +84,6 @@ func (r *Registry) Counter(name string) *Counter {
 		r.counters[name] = c
 	}
 	return c
-}
-
-// Gauge returns the named gauge, creating it on first use.
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
 }
 
 // Histogram returns the named fixed-bucket histogram, creating it on
@@ -172,20 +137,17 @@ func (r *Registry) GaugeFunc(name string, f func() int64) {
 	r.gaugeFuncs[name] = f
 }
 
-// GaugeValues returns a name-sorted snapshot of every gauge, stored
-// and callback alike. Callbacks run outside the registry lock (they
-// typically take their owner's lock).
+// GaugeValues returns a name-sorted snapshot of every callback gauge.
+// Callbacks run outside the registry lock (they typically take their
+// owner's lock).
 func (r *Registry) GaugeValues() []NamedValue {
 	r.mu.Lock()
-	out := make([]NamedValue, 0, len(r.gauges)+len(r.gaugeFuncs))
-	for name, g := range r.gauges {
-		out = append(out, NamedValue{Name: name, Value: g.Value()})
-	}
 	funcs := make(map[string]func() int64, len(r.gaugeFuncs))
 	for name, f := range r.gaugeFuncs {
 		funcs[name] = f
 	}
 	r.mu.Unlock()
+	out := make([]NamedValue, 0, len(funcs))
 	for name, f := range funcs {
 		out = append(out, NamedValue{Name: name, Value: f()})
 	}
@@ -219,15 +181,6 @@ type HealthCounters struct {
 	TruncatedRuns   Counter // partial reports emitted instead of discarded runs
 }
 
-// Reset zeroes every health counter.
-func (h *HealthCounters) Reset() {
-	h.Cancels.Reset()
-	h.Timeouts.Reset()
-	h.Watchdogs.Reset()
-	h.PanicsRecovered.Reset()
-	h.TruncatedRuns.Reset()
-}
-
 // Values snapshots the nonzero health counters, name-sorted.
 func (h *HealthCounters) Values() []NamedValue {
 	all := []NamedValue{
@@ -252,7 +205,7 @@ func (r *Registry) Health() *HealthCounters { return &r.health }
 // Default is the process-wide registry: the destination for run-path
 // health counters when no registry is injected (the CLI). Servers
 // construct their own registries so successive instances and tests
-// stay isolated; tests touching Default should Reset it.
+// stay isolated.
 var Default = NewRegistry()
 
 // Health is the Default registry's resilience counters — the shim that

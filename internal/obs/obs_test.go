@@ -216,8 +216,8 @@ func TestFormatDuration(t *testing.T) {
 
 func TestGaugeSnapshots(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("inflight").Set(3)
-	r.Gauge("active").Set(1)
+	r.GaugeFunc("inflight", func() int64 { return 3 })
+	r.GaugeFunc("active", func() int64 { return 1 })
 
 	gs := r.GaugeValues()
 	if len(gs) != 2 || gs[0].Name != "active" || gs[0].Value != 1 || gs[1].Name != "inflight" || gs[1].Value != 3 {
@@ -227,12 +227,11 @@ func TestGaugeSnapshots(t *testing.T) {
 
 func TestGaugeFunc(t *testing.T) {
 	r := NewRegistry()
-	r.Gauge("stored").Set(2)
 	depth := int64(5)
 	r.GaugeFunc("queue.depth", func() int64 { return depth })
 
 	gs := r.GaugeValues()
-	if len(gs) != 2 || gs[0].Name != "queue.depth" || gs[0].Value != 5 || gs[1].Name != "stored" {
+	if len(gs) != 1 || gs[0].Name != "queue.depth" || gs[0].Value != 5 {
 		t.Fatalf("gauge snapshot = %+v", gs)
 	}
 	// Callback gauges are live: the next snapshot re-evaluates.

@@ -376,6 +376,32 @@ func TestJobCancelOverHTTP(t *testing.T) {
 	}
 }
 
+// TestJobCancelNotJournaledIs500 drains the job tier, which closes its
+// journal, under an interrupted job. A cancel the journal cannot
+// record answers 500 and leaves the job interrupted, as the journal
+// says, for the next process to finish.
+func TestJobCancelNotJournaledIs500(t *testing.T) {
+	started := make(chan struct{}, 1)
+	run := func(ctx context.Context, name string, cfg repro.Config) (*repro.Report, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	s, ts := newJobsServer(t, Config{Run: run}, JobsConfig{})
+	code, _, body := doJSON(t, http.MethodPost, ts.URL+"/v1/jobs", `{"workload":"lzw"}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit: code=%d body=%q", code, body)
+	}
+	var doc jobs.Doc
+	json.Unmarshal(body, &doc)
+	<-started
+	s.jobs.Drain()
+	if code, _, body := doJSON(t, http.MethodDelete, ts.URL+"/v1/jobs/"+doc.ID, ""); code != http.StatusInternalServerError {
+		t.Errorf("cancel with a closed journal: code=%d body=%q, want 500", code, body)
+	}
+	pollJob(t, ts.URL, doc.ID, jobs.StateInterrupted)
+}
+
 // TestJobsObservability pins /debug/jobs, the job_ sections of
 // /healthz and /metrics (JSON and Prometheus), and that none of them
 // exist without the job tier.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -230,7 +231,8 @@ func TestCancelMidSimulation(t *testing.T) {
 
 // TestCorruptDiskEntryServed pins the disk tier's corruption fallback
 // end to end: a scribbled cache file is detected, dropped, recomputed,
-// and healed, and the client never sees the corruption.
+// and healed (a fresh cache serves it from disk), and the client never
+// sees the corruption.
 func TestCorruptDiskEntryServed(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := resultcache.New(4, dir)
@@ -269,12 +271,18 @@ func TestCorruptDiskEntryServed(t *testing.T) {
 	if cache.Stats.Corrupt.Value() != 1 {
 		t.Fatalf("corrupt counter: %d", cache.Stats.Corrupt.Value())
 	}
-	// Healed: the file now byte-matches the served body.
-	healed, err := os.ReadFile(path)
+	// Healed: a fresh cache on the directory serves the body from disk.
+	fresh, err := resultcache.New(4, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(healed, body) {
+	healed, err := fresh.GetOrComputeJSON(context.Background(), key, func(context.Context) (*repro.Report, error) {
+		return nil, errors.New("the healed entry was not served from disk")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(healed, body) || fresh.Stats.Corrupt.Value() != 0 {
 		t.Fatal("healed disk entry differs from the served canonical JSON")
 	}
 }

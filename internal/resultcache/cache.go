@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/filestore"
 	"repro/internal/obs"
 )
 
@@ -55,7 +56,7 @@ type Options struct {
 // concurrent use.
 type Cache struct {
 	maxEntries   int
-	dir          string // "" = memory only
+	files        *filestore.Store // nil = memory only
 	maxDiskBytes int64
 
 	mu     sync.Mutex
@@ -95,22 +96,21 @@ func New(maxEntries int, dir string) (*Cache, error) {
 // NewWith is New with the full option set. Opening a disk-backed
 // cache scrubs the directory first: orphaned temp files left by a
 // crash mid-write are deleted (counted in Stats.TmpOrphans), every
-// entry is re-verified against the canonical round-trip property
-// (invalid ones deleted, counted in Stats.Corrupt), and the byte
-// bound is enforced before the first request.
+// entry gets the check every disk read runs (failures deleted, counted
+// in Stats.Corrupt), and the byte bound is enforced before the first
+// request.
 func NewWith(o Options) (*Cache, error) {
 	if o.MaxEntries <= 0 {
 		o.MaxEntries = DefaultMaxEntries
 	}
 	c := &Cache{
 		maxEntries:   o.MaxEntries,
-		dir:          o.Dir,
 		maxDiskBytes: o.MaxDiskBytes,
 		lru:          list.New(),
 		byKey:        make(map[string]*list.Element),
 		flight:       make(map[string]*call),
 	}
-	if err := c.initDisk(); err != nil {
+	if err := c.initDisk(o.Dir); err != nil {
 		return nil, err
 	}
 	return c, nil

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -164,15 +163,15 @@ func TestDiskTierPersistsAcrossInstances(t *testing.T) {
 		dir := t.TempDir()
 		var computes atomic.Int64
 		c1 := mustCache(t, 0, dir)
-		checkLookup(t, get, c1, "k", countingCompute("w", &computes), want, "miss")
-		if _, err := os.Stat(c1.diskPath("k")); err != nil {
+		checkLookup(t, get, c1, "ab", countingCompute("w", &computes), want, "miss")
+		if _, err := os.Stat(entryPath(dir, "ab")); err != nil {
 			t.Fatalf("disk entry missing after store: %v", err)
 		}
 
 		// A fresh cache (cold memory tier) over the same directory
 		// serves from disk without recomputing.
 		c2 := mustCache(t, 0, dir)
-		checkLookup(t, get, c2, "k", countingCompute("w", &computes), want, "disk")
+		checkLookup(t, get, c2, "ab", countingCompute("w", &computes), want, "disk")
 		if computes.Load() != 1 {
 			t.Fatalf("disk hit should not recompute: %d computes", computes.Load())
 		}
@@ -180,7 +179,7 @@ func TestDiskTierPersistsAcrossInstances(t *testing.T) {
 			t.Fatalf("want 1 disk hit, got %d", c2.Stats.DiskHits.Value())
 		}
 		// And the entry is now promoted to memory.
-		checkLookup(t, get, c2, "k", countingCompute("w", &computes), want, "memory")
+		checkLookup(t, get, c2, "ab", countingCompute("w", &computes), want, "memory")
 		if c2.Stats.Hits.Value() != 1 {
 			t.Fatalf("promoted entry should hit memory, hits=%d", c2.Stats.Hits.Value())
 		}
@@ -200,12 +199,13 @@ func TestCorruptDiskEntryFallsBackToRecompute(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
-				c := mustCache(t, 0, t.TempDir())
-				if err := os.WriteFile(c.diskPath("k"), garbage, 0o644); err != nil {
+				dir := t.TempDir()
+				c := mustCache(t, 0, dir)
+				if err := os.WriteFile(entryPath(dir, "ab"), garbage, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				var computes atomic.Int64
-				got, err := get(c, ctx, "k", countingCompute("w", &computes))
+				got, err := get(c, ctx, "ab", countingCompute("w", &computes))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -218,14 +218,8 @@ func TestCorruptDiskEntryFallsBackToRecompute(t *testing.T) {
 				if !bytes.Equal(got, want) {
 					t.Fatal("recomputed bytes differ from the computed report's canonical JSON")
 				}
-				// The slot healed: the rewritten entry is valid on disk.
-				data, rerr := os.ReadFile(c.diskPath("k"))
-				if rerr != nil {
-					t.Fatalf("entry not rewritten: %v", rerr)
-				}
-				if !validCanonical(data) {
-					t.Fatal("rewritten entry is not canonical")
-				}
+				// The slot healed: the rewritten entry holds the report.
+				checkEntry(t, dir, "ab", want)
 				return c
 			})
 		})
@@ -242,14 +236,15 @@ func TestTruncatedReportNotStored(t *testing.T) {
 	}
 	want := canonical(t, partial())
 	forEachLookup(t, func(t *testing.T, get getFunc) *Cache {
-		c := mustCache(t, 0, t.TempDir())
+		dir := t.TempDir()
+		c := mustCache(t, 0, dir)
 		var computes atomic.Int64
 		truncated := func(context.Context) (*core.Report, error) {
 			computes.Add(1)
 			return partial(), nil
 		}
 		for i := 0; i < 2; i++ {
-			got, err := get(c, ctx, "k", truncated)
+			got, err := get(c, ctx, "ab", truncated)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -264,7 +259,7 @@ func TestTruncatedReportNotStored(t *testing.T) {
 			t.Fatalf("want uncacheable=2 stores=0, got uncacheable=%d stores=%d",
 				c.Stats.Uncacheable.Value(), c.Stats.Stores.Value())
 		}
-		if _, err := os.Stat(c.diskPath("k")); !errors.Is(err, os.ErrNotExist) {
+		if _, err := os.Stat(entryPath(dir, "ab")); !errors.Is(err, os.ErrNotExist) {
 			t.Fatal("truncated report leaked onto disk")
 		}
 		return c
@@ -450,11 +445,11 @@ func TestStatValuesSorted(t *testing.T) {
 func TestDiskPathWritableOnlyWithDir(t *testing.T) {
 	c := mustCache(t, 0, "")
 	// Memory-only cache: disk helpers are no-ops.
-	c.diskPut("k", []byte("{}"))
-	if _, ok := c.diskGet("k"); ok {
+	c.diskPut("abc", []byte("{}"))
+	if _, ok := c.diskGet("abc"); ok {
 		t.Fatal("memory-only cache should never report disk hits")
 	}
-	if filepath.Dir(mustCache(t, 0, t.TempDir()).diskPath("abc")) == "" {
-		t.Fatal("disk path should live under the cache dir")
-	}
+	dir := t.TempDir()
+	mustCache(t, 0, dir).diskPut("abc", []byte("{}"))
+	checkEntry(t, dir, "abc", []byte("{}"))
 }

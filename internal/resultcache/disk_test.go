@@ -1,10 +1,11 @@
 package resultcache
 
 // Crash-recovery and capacity tests for the disk tier: the startup
-// scrub (orphaned temp files, invalid entries) and the byte-bounded
-// disk LRU.
+// scrub (orphaned temp files, entries that fail the check) and the
+// byte-bounded disk LRU.
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/filestore"
 )
 
 // canonicalFor builds the canonical JSON bytes of a minimal report.
@@ -35,6 +37,23 @@ func storeKey(t *testing.T, c *Cache, key, benchmark string) {
 	}
 }
 
+// entryPath is the disk entry file for key under dir.
+func entryPath(dir, key string) string { return filepath.Join(dir, key+entryFormat.Ext) }
+
+// checkEntry requires key's file under dir to be an entry for key
+// holding want.
+func checkEntry(t *testing.T, dir, key string, want []byte) {
+	t.Helper()
+	data, err := os.ReadFile(entryPath(dir, key))
+	if err != nil {
+		t.Fatalf("no entry for %s: %v", key, err)
+	}
+	got, body, err := entryFormat.Decode(data)
+	if err != nil || got != key || !bytes.Equal(body, want) {
+		t.Fatalf("entry for %s: key %q, err %v, body equal %v", key, got, err, bytes.Equal(body, want))
+	}
+}
+
 func dirFiles(t *testing.T, dir string) []string {
 	t.Helper()
 	entries, err := os.ReadDir(dir)
@@ -49,19 +68,22 @@ func dirFiles(t *testing.T, dir string) []string {
 }
 
 // TestStartupScrub pins crash recovery: orphaned temp files are
-// deleted and counted, invalid entries are deleted and counted, and
-// valid entries survive into the index.
+// deleted and counted, entries that fail the check are deleted and
+// counted, and valid entries survive into the index.
 func TestStartupScrub(t *testing.T) {
 	dir := t.TempDir()
 	valid := canonicalFor(t, "goban")
+	good := entryFormat.Encode("aaaa", valid)
 	writes := map[string][]byte{
-		"aaaa.json":        valid,                         // survives
-		"bbbb.json":        []byte(`{"Benchmark":"trunc`), // corrupt: deleted
-		"cccc.json":        append(valid, '\n', '\n'),     // trailing garbage: deleted
-		"tmp-123.partial":  []byte("half-written"),        // crash orphan: deleted
-		"tmp-zzzz.partial": nil,                           // empty crash orphan: deleted
-		"stray.tmp":        []byte("foreign temp write"),  // generic *.tmp orphan: deleted
-		"README":           []byte("not a cache entry"),   // foreign file: left alone
+		"aaaa.json":        good,                                            // survives
+		"bbbb.json":        entryFormat.Encode("bbbb", valid)[:len(good)-5], // truncated: deleted
+		"cccc.json":        append(entryFormat.Encode("cccc", valid), '\n'), // trailing garbage: deleted
+		"dddd.json":        valid,                                           // bare JSON, the format before the envelope: deleted
+		"eeee.json":        entryFormat.Encode("ffff", valid),               // filed under another key: deleted
+		"tmp-123.partial":  []byte("half-written"),                          // crash orphan of the old temp pattern: deleted
+		"tmp-zzzz.partial": nil,                                             // empty crash orphan: deleted
+		"stray.tmp":        []byte("crash orphan"),                          // *.tmp orphan: deleted
+		"README":           []byte("not a cache entry"),                     // foreign file: left alone
 	}
 	for name, data := range writes {
 		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
@@ -76,12 +98,12 @@ func TestStartupScrub(t *testing.T) {
 	if got := c.Stats.TmpOrphans.Value(); got != 3 {
 		t.Errorf("TmpOrphans = %d, want 3", got)
 	}
-	if got := c.Stats.Corrupt.Value(); got != 2 {
-		t.Errorf("Corrupt = %d, want 2", got)
+	if got := c.Stats.Corrupt.Value(); got != 4 {
+		t.Errorf("Corrupt = %d, want 4", got)
 	}
 	bytes, entries := c.DiskUsage()
-	if entries != 1 || bytes != int64(len(valid)) {
-		t.Errorf("DiskUsage = (%d, %d), want (%d, 1)", bytes, entries, len(valid))
+	if entries != 1 || bytes != int64(len(good)) {
+		t.Errorf("DiskUsage = (%d, %d), want (%d, 1)", bytes, entries, len(good))
 	}
 	files := dirFiles(t, dir)
 	want := map[string]bool{"aaaa.json": true, "README": true}
@@ -113,7 +135,7 @@ func TestStartupScrub(t *testing.T) {
 // consistent with the directory.
 func TestDiskByteBoundEviction(t *testing.T) {
 	dir := t.TempDir()
-	entrySize := int64(len(canonicalFor(t, "w")))
+	entrySize := filestore.Size("a1", len(canonicalFor(t, "w")))
 	// Memory tier of 1 forces reads of older keys through the disk
 	// tier (so recency touches are observable); room for 3 entries on
 	// disk.
@@ -122,31 +144,31 @@ func TestDiskByteBoundEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	storeKey(t, c, "k1", "w")
-	storeKey(t, c, "k2", "w")
-	storeKey(t, c, "k3", "w")
+	storeKey(t, c, "a1", "w")
+	storeKey(t, c, "a2", "w")
+	storeKey(t, c, "a3", "w")
 	if _, entries := c.DiskUsage(); entries != 3 {
 		t.Fatalf("disk entries = %d, want 3", entries)
 	}
 
-	// Touch k1 via a disk hit (memory only holds k3), then store k4:
-	// the LRU victim must be k2, not the freshly touched k1.
-	if _, err := c.GetOrCompute(context.Background(), "k1", func(context.Context) (*core.Report, error) {
-		t.Fatal("k1 should be a disk hit")
+	// Touch a1 via a disk hit (memory only holds a3), then store a4:
+	// the LRU victim must be a2, not the freshly touched a1.
+	if _, err := c.GetOrCompute(context.Background(), "a1", func(context.Context) (*core.Report, error) {
+		t.Fatal("a1 should be a disk hit")
 		return nil, nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	storeKey(t, c, "k4", "w")
+	storeKey(t, c, "a4", "w")
 
 	if got := c.Stats.DiskEvictions.Value(); got != 1 {
 		t.Fatalf("DiskEvictions = %d, want 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "k2.json")); !os.IsNotExist(err) {
-		t.Error("k2 should have been evicted from disk")
+	if _, err := os.Stat(entryPath(dir, "a2")); !os.IsNotExist(err) {
+		t.Error("a2 should have been evicted from disk")
 	}
-	for _, keep := range []string{"k1", "k3", "k4"} {
-		if _, err := os.Stat(filepath.Join(dir, keep+".json")); err != nil {
+	for _, keep := range []string{"a1", "a3", "a4"} {
+		if _, err := os.Stat(entryPath(dir, keep)); err != nil {
 			t.Errorf("%s missing from disk: %v", keep, err)
 		}
 	}
@@ -157,7 +179,7 @@ func TestDiskByteBoundEviction(t *testing.T) {
 
 	// An evicted entry is a clean miss: it recomputes and re-enters.
 	computed := false
-	if _, err := c.GetOrCompute(context.Background(), "k2", func(context.Context) (*core.Report, error) {
+	if _, err := c.GetOrCompute(context.Background(), "a2", func(context.Context) (*core.Report, error) {
 		computed = true
 		return &core.Report{Benchmark: "w", DynTotal: 42}, nil
 	}); err != nil {
@@ -177,15 +199,17 @@ func TestDiskBoundAtStartup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	entrySize := int64(len(canonicalFor(t, "w")))
-	for _, k := range []string{"old1", "old2", "new1"} {
+	// Keys in the order they were written: b1 oldest, b3 newest.
+	keys := []string{"b1", "b2", "b3"}
+	entrySize := filestore.Size("b1", len(canonicalFor(t, "w")))
+	for _, k := range keys {
 		storeKey(t, big, k, "w")
 	}
 	// Oldest-first eviction depends on distinct mtimes; force them.
 	base := time.Now().Add(-time.Hour)
-	for i, k := range []string{"old1", "old2", "new1"} {
+	for i, k := range keys {
 		ts := base.Add(time.Duration(i) * time.Minute)
-		if err := os.Chtimes(filepath.Join(dir, k+".json"), ts, ts); err != nil {
+		if err := os.Chtimes(entryPath(dir, k), ts, ts); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +221,7 @@ func TestDiskBoundAtStartup(t *testing.T) {
 	if got := c.Stats.DiskEvictions.Value(); got != 1 {
 		t.Fatalf("startup DiskEvictions = %d, want 1", got)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "old1.json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(entryPath(dir, "b1")); !os.IsNotExist(err) {
 		t.Error("oldest entry should be the startup eviction victim")
 	}
 
@@ -209,7 +233,7 @@ func TestDiskBoundAtStartup(t *testing.T) {
 	if _, entries := tiny.DiskUsage(); entries != 1 {
 		t.Fatalf("tiny bound kept %d entries, want exactly the newest", entries)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "new1.json")); err != nil {
+	if _, err := os.Stat(entryPath(dir, "b3")); err != nil {
 		t.Errorf("newest entry must survive an undersized bound: %v", err)
 	}
 }

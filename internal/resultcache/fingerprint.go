@@ -5,11 +5,12 @@
 // fingerprint of its inputs and reused instead of re-simulated: the
 // paper's reuse-of-results idea applied at whole-run grain.
 //
-// The cache has an in-memory LRU tier and an optional on-disk tier
-// (atomic write-rename, corruption-tolerant reads that fall back to
-// recompute), with singleflight deduplication so concurrent requests
-// for the same cold key trigger exactly one simulation. See
-// DESIGN.md §12.
+// The cache has an in-memory LRU tier and an optional on-disk tier,
+// kept by filestore (atomic write-rename, one file per key in a
+// checksummed envelope, and one check at the scrub and on every read;
+// an entry that fails it is recomputed), with singleflight
+// deduplication so concurrent requests for the same cold key trigger
+// exactly one simulation. See DESIGN.md §12.
 package resultcache
 
 import (
